@@ -10,6 +10,7 @@
 //! metric it should move.
 
 pub mod measure;
+pub mod refclock;
 pub mod replay;
 pub mod stats;
 pub mod timed;

@@ -13,6 +13,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use dpcbench::stats::{median, quantile};
 use dpcbench::{traced, untraced, Metric, Size, Tally, Workload, WORKLOADS};
 
 const USAGE: &str = "usage: dpcbench --workload <name> --seed <n> --seconds <n> --trace <0|1>";
@@ -106,14 +107,35 @@ fn report_untraced(args: &Args) -> dpcbench::Result<String> {
     let u = untraced(&args.workload, &Size::BENCH, args.seed, args.seconds)?;
     let metrics = u.end_to_end()?;
     println!(
-        "{} seed {}: untraced, {} iterations in {:.1} s",
+        "{} seed {}: untraced, {} iterations ({} timed) in {:.1} s",
         args.workload.name,
         args.seed,
         u.setup_s.len(),
+        u.drive_s.len(),
         start.elapsed().as_secs_f64()
     );
     print_metrics(&metrics);
-    println!("{:<28} {}", "query samples", u.query_us.len());
+    println!(
+        "{:<28} {} queries, each the median of {} timed iterations",
+        "query samples",
+        u.query_us.len(),
+        u.drive_s.len()
+    );
+    println!(
+        "{:<28} {} exec/s unscaled (median drive phase {} CPU s)",
+        "exec_per_s_cpu",
+        u.delivered as f64 / median(&u.drive_cpu_s),
+        median(&u.drive_cpu_s)
+    );
+    let slow = u.slowdowns;
+    println!(
+        "{:<28} min {:.3}, median {:.3}, max {:.3} over {} probes",
+        "host slowdown",
+        quantile(&slow, 0.0),
+        median(&slow),
+        quantile(&slow, 1.0),
+        slow.len()
+    );
     print_tally("exec_fail_frac", &u.execs);
     print_tally("query_fail_frac", &u.queries);
     summary(&metrics, &u.execs, &u.queries)

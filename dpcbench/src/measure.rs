@@ -8,8 +8,10 @@ use std::time::{Duration, Instant};
 use dpc_common::NodeId;
 use dpc_core::{AdvancedRecorder, ExspanRecorder, GroundTruthRecorder};
 use dpc_engine::{Database, NoopRecorder, ProvRecorder, Runtime, RuntimeConfig, TeeRecorder};
+use dpc_netsim::SimTime;
 use dpc_telemetry::counters::{INDEX_HITS, INDEX_MISSES};
 
+use crate::refclock::RefClock;
 use crate::replay;
 use crate::stats::{cpu_secs, mean, median, peak_rss_mb, quantile};
 use crate::timed::Timed;
@@ -64,16 +66,24 @@ pub struct Fixed {
     pub query_sim_ms: f64,
 }
 
-/// What the untraced run measured.
+/// What the untraced run measured. Times are reference seconds
+/// ([`crate::refclock`]): CPU seconds scaled by the host's speed at the
+/// time.
 #[derive(Debug, Clone)]
 pub struct Untraced {
-    /// Seconds from seed to a ready runtime, per iteration.
+    /// Seed to ready runtime, per iteration.
     pub setup_s: Vec<f64>,
-    /// Delivered executions per CPU second of `Runtime::run`, per
-    /// iteration.
-    pub exec_per_s: Vec<f64>,
-    /// CPU microseconds of every answered query.
+    /// `Runtime::run`, per timed iteration.
+    pub drive_s: Vec<f64>,
+    /// `Runtime::run` in unscaled CPU seconds, per timed iteration.
+    pub drive_cpu_s: Vec<f64>,
+    /// Microseconds of each sampled query: its median over the timed
+    /// iterations, which all ask the same queries.
     pub query_us: Vec<f64>,
+    /// Executions whose correct output arrived, in each iteration.
+    pub delivered: usize,
+    /// The host's slowdown at every probe of the reference clock.
+    pub slowdowns: Vec<f64>,
     /// The figures the seed fixes.
     pub fixed: Fixed,
     /// Executions injected and failed.
@@ -88,7 +98,11 @@ impl Untraced {
         let rss = peak_rss_mb().ok_or("peak resident memory is unavailable on this platform")?;
         Ok(vec![
             metric("setup_s", median(&self.setup_s), "s"),
-            metric("exec_per_s", median(&self.exec_per_s), "exec/s"),
+            metric(
+                "exec_per_s",
+                self.delivered as f64 / median(&self.drive_s),
+                "exec/s",
+            ),
             metric("query_p50_us", quantile(&self.query_us, 0.5), "us"),
             metric("query_p99_us", quantile(&self.query_us, 0.99), "us"),
             metric("query_sim_ms", self.fixed.query_sim_ms, "ms"),
@@ -106,8 +120,51 @@ fn drive<R: ProvRecorder>(rt: &mut Runtime<R>) -> Result<f64> {
     Ok(cpu_secs() - start)
 }
 
+/// Simulated time the drive phase advances between checks for a due
+/// probe of the reference clock.
+const SLICE: SimTime = SimTime::from_millis(10);
+
+/// CPU seconds of measured work between probes of the reference clock:
+/// short against the seconds a host's slowdown lasts, long against one
+/// probe.
+const PROBE_EVERY: f64 = 0.03;
+
+/// The drive phase, in [`SLICE`]s up to `last_input` and then to the
+/// end, with the reference clock probed every [`PROBE_EVERY`] CPU
+/// seconds: its reference seconds and its CPU seconds.
+fn drive_ref<R: ProvRecorder>(
+    rt: &mut Runtime<R>,
+    last_input: SimTime,
+    clock: &mut RefClock,
+) -> Result<(f64, f64)> {
+    let (mut ref_s, mut cpu_s, mut pending) = (0.0, 0.0, 0.0);
+    let mut bound = SimTime::ZERO;
+    clock.mark();
+    loop {
+        let done = bound > last_input;
+        let start = cpu_secs();
+        if done {
+            rt.run()?;
+        } else {
+            bound += SLICE;
+            rt.run_until(bound)?;
+        }
+        pending += cpu_secs() - start;
+        if done || pending >= PROBE_EVERY {
+            cpu_s += pending;
+            ref_s += clock.scale(pending);
+            pending = 0.0;
+        }
+        if done {
+            return Ok((ref_s, cpu_s));
+        }
+    }
+}
+
 /// Run the untraced configuration: set up, drive and query, repeated
-/// until `seconds` have passed (at least once).
+/// while another iteration fits in `seconds`. The first iteration warms
+/// the process; its drive phase and queries are not timed. At least one
+/// timed iteration follows it.
 pub fn untraced(w: &Workload, size: &Size, seed: u64, seconds: f64) -> Result<Untraced> {
     match w.scheme {
         SchemeKind::Advanced => untraced_with::<AdvancedRecorder>(w, size, seed, seconds),
@@ -122,32 +179,54 @@ fn untraced_with<S: Scheme>(
     seconds: f64,
 ) -> Result<Untraced> {
     let deadline = Instant::now() + Duration::from_secs_f64(seconds);
-    let (mut setup_s, mut exec_per_s, mut query_us) = (Vec::new(), Vec::new(), Vec::new());
+    let mut clock = RefClock::new();
+    let (mut setup_s, mut drive_s, mut drive_cpu_s) = (Vec::new(), Vec::new(), Vec::new());
+    let mut query_runs: Vec<Vec<f64>> = Vec::new();
     let (mut execs, mut queries) = (Tally::default(), Tally::default());
     let mut fixed: Option<Fixed> = None;
+    let mut delivered;
     loop {
+        let timed = fixed.is_some();
+        let began = Instant::now();
+        clock.mark();
         let mut ready = setup(w, size, seed, true, S::build)?;
-        setup_s.push(ready.times.total());
-        let drive_s = drive(&mut ready.rt)?;
+        setup_s.push(clock.scale(ready.times.total()));
+        let last_input = ready.inputs.iter().map(|&(_, at)| at).max();
+        let (ref_s, cpu_s) = drive_ref(&mut ready.rt, last_input.unwrap_or_default(), &mut clock)?;
+        if timed {
+            drive_s.push(ref_s);
+            drive_cpu_s.push(cpu_s);
+        }
         let injected = ready.inputs.len();
-        let delivered = ready.delivered();
+        delivered = ready.delivered();
         execs.attempted += injected as u64;
         execs.failed += (injected - delivered) as u64;
-        exec_per_s.push(delivered as f64 / drive_s);
 
         let mut sim_ms = Vec::new();
-        for out in sample_outputs(&ready.rt, seed, size.queries) {
+        let sample = sample_outputs(&ready.rt, seed, size.queries);
+        let mut query_us = Vec::with_capacity(sample.len());
+        let (mut batch, mut pending) = (0, 0.0);
+        clock.mark();
+        for (i, out) in sample.iter().enumerate() {
             let start = cpu_secs();
-            let res = ready.rt.recorder().query(&ready.rt, &out);
+            let res = ready.rt.recorder().query(&ready.rt, out);
             let secs = cpu_secs() - start;
+            query_us.push(secs);
+            pending += secs;
             queries.attempted += 1;
-            match answered(&out, &res) {
-                Some(q) => {
-                    query_us.push(secs * 1e6);
-                    sim_ms.push(q.latency.as_millis_f64());
-                }
+            match answered(out, &res) {
+                Some(q) => sim_ms.push(q.latency.as_millis_f64()),
                 None => queries.failed += 1,
             }
+            if pending >= PROBE_EVERY || i + 1 == sample.len() {
+                let factor = clock.scale(pending) / pending * 1e6;
+                query_us[batch..].iter_mut().for_each(|s| *s *= factor);
+                batch = i + 1;
+                pending = 0.0;
+            }
+        }
+        if timed {
+            query_runs.push(query_us);
         }
         let run = ready.rt.metrics();
         let this = Fixed {
@@ -164,14 +243,20 @@ fn untraced_with<S: Scheme>(
         }
         fixed = Some(this);
         drop(ready);
-        if Instant::now() >= deadline {
+        // Stop before an iteration that would overrun the deadline.
+        if timed && Instant::now() + began.elapsed() >= deadline {
             break;
         }
     }
     Ok(Untraced {
         setup_s,
-        exec_per_s,
-        query_us,
+        drive_s,
+        drive_cpu_s,
+        query_us: (0..query_runs[0].len())
+            .map(|q| median(&query_runs.iter().map(|run| run[q]).collect::<Vec<_>>()))
+            .collect(),
+        delivered,
+        slowdowns: clock.slowdowns(),
         fixed: fixed.ok_or("the run made no iteration")?,
         execs,
         queries,

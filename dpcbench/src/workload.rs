@@ -136,11 +136,12 @@ const PACKET_INTERVAL: SimTime = SimTime::from_secs(2);
 /// DNS requests per simulated second (`bench_pr3`'s rate).
 const DNS_RATE: u64 = 500;
 
-/// Seed of the nameserver tree, which every run shares (the figure
-/// runners' default seed). Tree depth sets each resolution's hop count,
-/// so drawing the tree from `--seed` moved wire bytes and simulated query
-/// latency by 30% between seeds; the seed draws the request stream.
-const DNS_TREE_SEED: u64 = 42;
+/// Seed of the transit-stub network and of the nameserver tree, which
+/// every run shares (the figure runners' default seed). The topology sets
+/// each execution's hop count, so drawing it from `--seed` moved drive
+/// time, wire bytes and simulated query latency by up to 30% between
+/// seeds; the seed draws the stub pairs and the request stream.
+const TOPOLOGY_SEED: u64 = 42;
 
 /// Mixed into the seed of the query sample, so the sample does not reuse
 /// the inputs' random stream.
@@ -227,9 +228,8 @@ fn setup_forwarding<R: ProvRecorder>(
     make: impl FnOnce(&Delp, usize) -> R,
 ) -> Result<Ready<R>> {
     let mut lap = Lap::start();
-    let mut rng = SeededRng::seed_from_u64(seed);
     let ts = topo::transit_stub(
-        &mut rng,
+        &mut SeededRng::seed_from_u64(TOPOLOGY_SEED),
         &topo::TransitStubParams {
             transit_nodes: size.transit_nodes,
             stub_domains_per_transit: size.stub_domains,
@@ -237,7 +237,7 @@ fn setup_forwarding<R: ProvRecorder>(
             ..Default::default()
         },
     );
-    let pairs = random_pairs(&mut rng, &ts.stub, size.pairs);
+    let pairs = random_pairs(&mut SeededRng::seed_from_u64(seed), &ts.stub, size.pairs);
     let topo_s = lap.split();
 
     let nodes = ts.net.node_count();
@@ -284,7 +284,7 @@ fn setup_dns<R: ProvRecorder>(
 ) -> Result<Ready<R>> {
     let mut lap = Lap::start();
     let tree = topo::tree(
-        &mut SeededRng::seed_from_u64(DNS_TREE_SEED),
+        &mut SeededRng::seed_from_u64(TOPOLOGY_SEED),
         &topo::TreeParams {
             nodes: size.dns_servers,
             ..Default::default()
