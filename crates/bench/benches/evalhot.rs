@@ -1,7 +1,10 @@
 //! Micro-benchmarks for the evaluation hot path introduced by the
 //! compiled-plan work: naive AST interpretation vs [`RulePlan`]
 //! evaluation across table sizes, secondary-index probes vs full scans,
-//! `Table` insert/remove, and the cached `Tuple::vid` digest.
+//! `Table` insert/remove, the cached `Tuple::vid` digest, and the
+//! telemetry writes the runtime makes per message (a metric-handle
+//! increment, the due check when nothing is due, an unsampled child span
+//! with an attribute).
 //!
 //! Runs on the in-tree `dpc_bench::microbench` harness (offline builds
 //! carry no criterion); enable with `--features microbench`.
@@ -11,6 +14,7 @@ use dpc_common::{NodeId, Tuple, Value};
 use dpc_engine::plan::{EvalStats, RulePlan};
 use dpc_engine::{eval_rule, Database, FnRegistry, Table};
 use dpc_ndlog::programs;
+use dpc_telemetry::{AttrValue, SpanContext, Telemetry};
 use std::hint::black_box;
 
 fn route(loc: u32, dst: u32, next: u32) -> Tuple {
@@ -132,6 +136,34 @@ fn main() {
         t.vid()
     });
     b.bench("tuple_clone_shares_cache", || black_box(&big).clone().vid());
+
+    // Telemetry as the bench runners attach it (snapshots and samples
+    // every simulated second, spans off), written the way the runtime
+    // writes it on every delivered message.
+    let t = Telemetry::handle();
+    t.set_snapshot_every_nanos(1_000_000_000);
+    t.set_timeseries(1_000_000_000, dpc_telemetry::DEFAULT_SERIES_CAPACITY);
+    let nodes = 972u32;
+    let fired = t.node_counters("engine.rules_fired", nodes as usize);
+    let mut node = 0u32;
+    b.bench("telemetry_counter_add", || {
+        node = (node + 1) % nodes;
+        fired.at(black_box(node)).add(1);
+    });
+    let delay = t.hist("net.queue_delay_ns");
+    let mut v = 0u64;
+    b.bench("telemetry_hist_observe", || {
+        v = (v + 7919) % 100_000;
+        delay.observe(black_box(v));
+    });
+    b.bench("telemetry_tick_not_due", || t.tick(black_box(999_999_999)));
+    let rel = Tuple::new("dnsRequest", vec![Value::Addr(NodeId(0))]);
+    b.bench("telemetry_span_child_unsampled_attr", || {
+        let s = t.span_child("engine.event", Some(0), black_box(SpanContext::NONE), 0);
+        t.span_attr(s, "rel", || AttrValue::Str(rel.rel().to_string()));
+        t.span_end(s, 1);
+        s
+    });
 
     b.finish();
 }

@@ -156,6 +156,8 @@ fn run_generic<R: ProvRecorder>(cfg: &DnsConfig, make: impl FnOnce(usize) -> R) 
             per_link_bytes: rt.stats().per_link_totals(),
             outputs: rt.outputs().len(),
             rules_fired: rt.rules_fired(),
+            index_hits: rt.metrics().index_hits,
+            index_misses: rt.metrics().index_misses,
             duration,
             telemetry,
         },

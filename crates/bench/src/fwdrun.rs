@@ -235,6 +235,8 @@ fn drive<R: ProvRecorder>(mut rt: Runtime<R>, cfg: &FwdConfig) -> (Runtime<R>, R
         per_link_bytes: rt.stats().per_link_totals(),
         outputs: rt.outputs().len(),
         rules_fired: rt.rules_fired(),
+        index_hits: rt.metrics().index_hits,
+        index_misses: rt.metrics().index_misses,
         duration,
         telemetry,
     };

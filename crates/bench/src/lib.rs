@@ -84,9 +84,14 @@ pub struct RunMeasurements {
     pub outputs: usize,
     /// Rule firings across all nodes.
     pub rules_fired: u64,
+    /// Join probes served by a secondary index, as the runtime counted
+    /// them ([`dpc_engine::RunMetrics::index_hits`]).
+    pub index_hits: u64,
+    /// Join probes that fell back to a scan, as the runtime counted them.
+    pub index_misses: u64,
     /// Wall-clock span of the simulated run.
     pub duration: SimTime,
-    /// The run's telemetry registry (counters, snapshots, traces).
+    /// The run's telemetry registry (counters, snapshots, series, spans).
     pub telemetry: TelemetryHandle,
 }
 
@@ -114,12 +119,7 @@ impl RunMeasurements {
     /// Secondary-index join probe `(hits, misses)` over the run — nonzero
     /// only when the engine evaluates through compiled rule plans.
     pub fn index_hits_misses(&self) -> (u64, u64) {
-        (
-            self.telemetry
-                .counter_total(dpc_telemetry::counters::INDEX_HITS),
-            self.telemetry
-                .counter_total(dpc_telemetry::counters::INDEX_MISSES),
-        )
+        (self.index_hits, self.index_misses)
     }
 
     /// Rule plans compiled at runtime construction.
@@ -442,6 +442,8 @@ mod tests {
             per_link_bytes: vec![],
             outputs: 0,
             rules_fired: 0,
+            index_hits: 0,
+            index_misses: 0,
             duration: SimTime::from_secs(8),
             telemetry: dpc_telemetry::Telemetry::handle(),
         };

@@ -1,6 +1,7 @@
 //! Figure rendering: plain-text series/rows matching the paper's plots,
 //! plus the JSON-lines records behind every binary's `--json` mode.
 
+use dpc_telemetry::counters::INDEX_HITS;
 use dpc_telemetry::json::Json;
 use dpc_workload::Cdf;
 
@@ -8,7 +9,11 @@ use crate::RunMeasurements;
 
 /// The JSON-lines record summarizing one run: per-node storage, per-link
 /// traffic, rule firings and the `htequi` hit rate — the run-level fields
-/// the paper's figures are computed from.
+/// the paper's figures are computed from. `rules_fired` and `index_hits`
+/// are the runtime's own counts; `telemetry_totals` repeats them as the
+/// telemetry registry counted them at the end of the run, so a consumer
+/// can check the metric wiring (the last periodic snapshot precedes the
+/// drain, so it cannot serve).
 pub fn run_json(figure: &str, scheme: &str, m: &RunMeasurements) -> Json {
     run_json_with(figure, scheme, Vec::new(), m)
 }
@@ -76,6 +81,19 @@ pub fn run_json_with(
         ),
         ("index_hits", Json::UInt(index_hits)),
         ("index_misses", Json::UInt(index_misses)),
+        (
+            "telemetry_totals",
+            Json::obj([
+                (
+                    "engine.rules_fired",
+                    Json::UInt(m.telemetry.counter_total("engine.rules_fired")),
+                ),
+                (
+                    INDEX_HITS,
+                    Json::UInt(m.telemetry.counter_total(INDEX_HITS)),
+                ),
+            ]),
+        ),
         (
             "index_hit_ratio",
             m.index_hit_ratio().map_or(Json::Null, Json::Float),
@@ -190,13 +208,15 @@ mod tests {
             per_link_bytes: vec![((NodeId(0), NodeId(1)), 7)],
             outputs: 2,
             rules_fired: 4,
+            index_hits: 0,
+            index_misses: 0,
             duration: SimTime::from_secs(2),
             telemetry: dpc_telemetry::Telemetry::handle(),
         };
         let line = run_json("fig08", "ExSPAN", &m).to_string();
         assert_eq!(
             line,
-            r#"{"record":"run","figure":"fig08","scheme":"ExSPAN","per_node_storage_bytes":[10,20],"per_link_bytes":[{"a":0,"b":1,"bytes":7}],"storage_snapshots":[[1,5],[2,30]],"total_traffic_bytes":7,"outputs":2,"rules_fired":4,"htequi_hits":0,"htequi_misses":0,"htequi_hit_rate":null,"index_hits":0,"index_misses":0,"index_hit_ratio":null,"plans_compiled":0,"duration_secs":2}"#
+            r#"{"record":"run","figure":"fig08","scheme":"ExSPAN","per_node_storage_bytes":[10,20],"per_link_bytes":[{"a":0,"b":1,"bytes":7}],"storage_snapshots":[[1,5],[2,30]],"total_traffic_bytes":7,"outputs":2,"rules_fired":4,"htequi_hits":0,"htequi_misses":0,"htequi_hit_rate":null,"index_hits":0,"index_misses":0,"telemetry_totals":{"engine.rules_fired":0,"engine.index_hits":0},"index_hit_ratio":null,"plans_compiled":0,"duration_secs":2}"#
         );
     }
 

@@ -28,10 +28,11 @@ use std::collections::{HashMap, HashSet};
 use dpc_common::{EqKeyHash, EvId, NodeId, Rid, Sha1, Tuple, Vid};
 use dpc_engine::{ProvMeta, ProvRecorder, Stage};
 use dpc_ndlog::{EquivKeys, Rule};
-use dpc_telemetry::TelemetryHandle;
+use dpc_telemetry::{Counter, Gauge, PerNode, TelemetryHandle};
 
 use crate::storage::{
     InterClassTables, ProvRowAdv, ProvTableAdv, RuleExecRow, RuleExecTable, RuleExecView,
+    TableGauges,
 };
 
 /// Wire overhead Advanced tags onto each shipped tuple: `existFlag` (1) +
@@ -84,6 +85,18 @@ struct Node {
     inter: InterClassTables,
 }
 
+/// Advanced's metric handles, registered once in
+/// [`ProvRecorder::attach_telemetry`].
+#[derive(Debug)]
+struct AdvancedMetrics {
+    tables: TableGauges,
+    htequi_classes: PerNode<Gauge>,
+    hmap_entries: PerNode<Gauge>,
+    htequi_hits: PerNode<Counter>,
+    htequi_misses: PerNode<Counter>,
+    interclass_saved_bytes: PerNode<Counter>,
+}
+
 /// The equivalence-based compression recorder.
 #[derive(Debug)]
 pub struct AdvancedRecorder {
@@ -91,7 +104,7 @@ pub struct AdvancedRecorder {
     nodes: Vec<Node>,
     inter_class: bool,
     hmap_misses: u64,
-    telemetry: Option<TelemetryHandle>,
+    metrics: Option<AdvancedMetrics>,
 }
 
 impl AdvancedRecorder {
@@ -121,28 +134,18 @@ impl AdvancedRecorder {
                 .collect(),
             inter_class,
             hmap_misses: 0,
-            telemetry: None,
+            metrics: None,
         }
     }
 
     /// Push the per-table gauges for `node` to the attached telemetry.
     fn report_tables(&self, node: NodeId) {
-        let Some(t) = &self.telemetry else { return };
-        let (prov, re) = self.row_counts(node);
-        t.gauge("recorder.prov_rows", Some(node.0), prov as i64);
-        t.gauge("recorder.rule_exec_rows", Some(node.0), re as i64);
-        t.gauge(
-            "recorder.storage_bytes",
-            Some(node.0),
-            self.storage_at(node) as i64,
-        );
+        let Some(m) = &self.metrics else { return };
+        m.tables
+            .report(node, self.row_counts(node), self.storage_at(node));
         let n = &self.nodes[node.index()];
-        t.gauge(
-            "recorder.htequi_classes",
-            Some(node.0),
-            n.htequi.len() as i64,
-        );
-        t.gauge("recorder.hmap_entries", Some(node.0), n.hmap.len() as i64);
+        m.htequi_classes.at(node.0).set(n.htequi.len() as i64);
+        m.hmap_entries.at(node.0).set(n.hmap.len() as i64);
     }
 
     /// The equivalence keys in use.
@@ -272,13 +275,13 @@ impl ProvRecorder for AdvancedRecorder {
         meta.exist_flag = !fresh;
         meta.eq_hash = Some(kh);
         meta.wire_bytes = ADVANCED_META_BYTES;
-        if let Some(t) = &self.telemetry {
-            let name = if fresh {
-                "recorder.htequi_misses"
+        if let Some(m) = &self.metrics {
+            let counter = if fresh {
+                &m.htequi_misses
             } else {
-                "recorder.htequi_hits"
+                &m.htequi_hits
             };
-            t.count(name, Some(node.0), 1);
+            counter.at(node.0).add(1);
         }
     }
 
@@ -314,12 +317,8 @@ impl ProvRecorder for AdvancedRecorder {
                 .inter
                 .insert(nrid, row, rid, meta.prev);
             if saved > 0 {
-                if let Some(t) = &self.telemetry {
-                    t.count(
-                        "recorder.interclass_saved_bytes",
-                        Some(node.0),
-                        saved as u64,
-                    );
+                if let Some(m) = &self.metrics {
+                    m.interclass_saved_bytes.at(node.0).add(saved as u64);
                 }
             }
         } else {
@@ -394,7 +393,16 @@ impl ProvRecorder for AdvancedRecorder {
     }
 
     fn attach_telemetry(&mut self, telemetry: TelemetryHandle) {
-        self.telemetry = Some(telemetry);
+        let n = self.nodes.len();
+        let t = &telemetry;
+        self.metrics = Some(AdvancedMetrics {
+            tables: TableGauges::register(t, n),
+            htequi_classes: t.node_gauges("recorder.htequi_classes", n),
+            hmap_entries: t.node_gauges("recorder.hmap_entries", n),
+            htequi_hits: t.node_counters("recorder.htequi_hits", n),
+            htequi_misses: t.node_counters("recorder.htequi_misses", n),
+            interclass_saved_bytes: t.node_counters("recorder.interclass_saved_bytes", n),
+        });
     }
 }
 

@@ -13,7 +13,7 @@ use dpc_ndlog::Rule;
 use dpc_telemetry::TelemetryHandle;
 
 use crate::exspan::exspan_rid;
-use crate::storage::{ProvRow, ProvTable, RuleExecRow, RuleExecTable};
+use crate::storage::{ProvRow, ProvTable, RuleExecRow, RuleExecTable, TableGauges};
 
 /// Wire overhead Basic tags onto each shipped tuple: the previous rule
 /// execution's `(NLoc, NRID)` plus a stage byte.
@@ -30,7 +30,7 @@ struct Node {
 #[derive(Debug)]
 pub struct BasicRecorder {
     nodes: Vec<Node>,
-    telemetry: Option<TelemetryHandle>,
+    gauges: Option<TableGauges>,
 }
 
 impl BasicRecorder {
@@ -43,21 +43,15 @@ impl BasicRecorder {
                     rule_exec: RuleExecTable::new(true),
                 })
                 .collect(),
-            telemetry: None,
+            gauges: None,
         }
     }
 
     /// Push the per-table gauges for `node` to the attached telemetry.
     fn report_tables(&self, node: NodeId) {
-        let Some(t) = &self.telemetry else { return };
-        let (prov, re) = self.row_counts(node);
-        t.gauge("recorder.prov_rows", Some(node.0), prov as i64);
-        t.gauge("recorder.rule_exec_rows", Some(node.0), re as i64);
-        t.gauge(
-            "recorder.storage_bytes",
-            Some(node.0),
-            self.storage_at(node) as i64,
-        );
+        if let Some(g) = &self.gauges {
+            g.report(node, self.row_counts(node), self.storage_at(node));
+        }
     }
 
     /// The `prov` row for an output tuple.
@@ -162,7 +156,7 @@ impl ProvRecorder for BasicRecorder {
     }
 
     fn attach_telemetry(&mut self, telemetry: TelemetryHandle) {
-        self.telemetry = Some(telemetry);
+        self.gauges = Some(TableGauges::register(&telemetry, self.nodes.len()));
     }
 }
 

@@ -89,7 +89,7 @@ impl QTracer {
         }
     }
 
-    fn attr(&self, key: &'static str, value: AttrValue) {
+    fn attr(&self, key: &'static str, value: impl FnOnce() -> AttrValue) {
         if let Some(t) = &self.tel {
             t.span_attr(self.root, key, value);
         }
@@ -109,15 +109,15 @@ impl QTracer {
     fn fetch(&self, node: NodeId, start: SimTime, end: SimTime, rows: usize, bytes: usize) {
         let Some(t) = &self.tel else { return };
         let s = self.stage("query.fetch", node, start, end);
-        t.span_attr(s, "rows", AttrValue::UInt(rows as u64));
-        t.span_attr(s, "bytes", AttrValue::UInt(bytes as u64));
+        t.span_attr(s, "rows", || AttrValue::UInt(rows as u64));
+        t.span_attr(s, "bytes", || AttrValue::UInt(bytes as u64));
     }
 
     /// Close the root at `end` with the run totals.
     fn finish(&self, end: SimTime, messages: u64, bytes: u64) {
         if let Some(t) = &self.tel {
-            t.span_attr(self.root, "messages", AttrValue::UInt(messages));
-            t.span_attr(self.root, "bytes", AttrValue::UInt(bytes));
+            t.span_attr(self.root, "messages", || AttrValue::UInt(messages));
+            t.span_attr(self.root, "bytes", || AttrValue::UInt(bytes));
             t.span_end(self.root, end.as_nanos());
         }
     }
@@ -175,7 +175,7 @@ pub fn simulate_query_advanced<S: AdvancedStore>(
 
     let mut sim: Sim<QMsg> = Sim::new(net.clone());
     let tr = QTracer::start(trace, &mut sim, querier);
-    tr.attr("scheme", AttrValue::Str("advanced".into()));
+    tr.attr("scheme", || AttrValue::Str("advanced".into()));
     // The prov lookup happens at the querier, then the query departs.
     // Advanced resolves the prov row through the equivalence-tagged
     // table, so the initial lookup is equivalence work.
@@ -293,7 +293,7 @@ pub fn simulate_query_advanced<S: AdvancedStore>(
         network_latency,
         network_latency + reexec,
     );
-    tr.attr("hops", AttrValue::UInt(state.levels.len() as u64));
+    tr.attr("hops", || AttrValue::UInt(state.levels.len() as u64));
     tr.finish(
         network_latency + reexec,
         sim.stats().messages(),
@@ -342,7 +342,7 @@ pub fn simulate_query_basic(
 
     let mut sim: Sim<QMsg> = Sim::new(net.clone());
     let tr = QTracer::start(trace, &mut sim, querier);
-    tr.attr("scheme", AttrValue::Str("basic".into()));
+    tr.attr("scheme", || AttrValue::Str("basic".into()));
     tr.stage(
         "query.lookup",
         querier,
@@ -466,7 +466,7 @@ pub fn simulate_query_basic(
         network_latency,
         network_latency + reexec,
     );
-    tr.attr("hops", AttrValue::UInt(state.levels.len() as u64));
+    tr.attr("hops", || AttrValue::UInt(state.levels.len() as u64));
     tr.finish(
         network_latency + reexec,
         sim.stats().messages(),
@@ -539,7 +539,7 @@ pub fn simulate_query_exspan(
 
     let mut sim: Sim<EMsg> = Sim::new(net.clone());
     let tr = QTracer::start(trace, &mut sim, querier);
-    tr.attr("scheme", AttrValue::Str("exspan".into()));
+    tr.attr("scheme", || AttrValue::Str("exspan".into()));
     tr.stage(
         "query.lookup",
         querier,
@@ -668,7 +668,7 @@ pub fn simulate_query_exspan(
 
     let event = leaf_event
         .ok_or_else(|| Error::ProvenanceLookup("query never reached a base event".into()))?;
-    tr.attr("hops", AttrValue::UInt(levels.len() as u64));
+    tr.attr("hops", || AttrValue::UInt(levels.len() as u64));
     tr.finish(sim.now(), sim.stats().messages(), sim.stats().total_bytes());
     // Fold the levels (root-first) into the tree, leaf up.
     let (rule, out_t, slow) = levels.pop().expect("at least one level");

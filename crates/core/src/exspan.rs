@@ -11,7 +11,7 @@ use dpc_engine::{ProvMeta, ProvRecorder, Stage};
 use dpc_ndlog::Rule;
 use dpc_telemetry::TelemetryHandle;
 
-use crate::storage::{ProvRow, ProvTable, RuleExecRow, RuleExecTable};
+use crate::storage::{ProvRow, ProvTable, RuleExecRow, RuleExecTable, TableGauges};
 
 /// Per-node ExSPAN state.
 #[derive(Debug)]
@@ -24,7 +24,7 @@ struct Node {
 #[derive(Debug)]
 pub struct ExspanRecorder {
     nodes: Vec<Node>,
-    telemetry: Option<TelemetryHandle>,
+    gauges: Option<TableGauges>,
 }
 
 /// Compute the ExSPAN rule-execution id: `sha1(rule + loc + vids)`.
@@ -54,21 +54,15 @@ impl ExspanRecorder {
                     rule_exec: RuleExecTable::new(false),
                 })
                 .collect(),
-            telemetry: None,
+            gauges: None,
         }
     }
 
     /// Push the per-table gauges for `node` to the attached telemetry.
     fn report_tables(&self, node: NodeId) {
-        let Some(t) = &self.telemetry else { return };
-        let (prov, re) = self.row_counts(node);
-        t.gauge("recorder.prov_rows", Some(node.0), prov as i64);
-        t.gauge("recorder.rule_exec_rows", Some(node.0), re as i64);
-        t.gauge(
-            "recorder.storage_bytes",
-            Some(node.0),
-            self.storage_at(node) as i64,
-        );
+        if let Some(g) = &self.gauges {
+            g.report(node, self.row_counts(node), self.storage_at(node));
+        }
     }
 
     /// The `prov` row for `vid` at `loc`.
@@ -188,7 +182,7 @@ impl ProvRecorder for ExspanRecorder {
     }
 
     fn attach_telemetry(&mut self, telemetry: TelemetryHandle) {
-        self.telemetry = Some(telemetry);
+        self.gauges = Some(TableGauges::register(&telemetry, self.nodes.len()));
     }
 }
 

@@ -10,6 +10,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use dpc_common::{EvId, NodeId, Rid, StorageSize, Vid};
+use dpc_telemetry::{Gauge, PerNode, TelemetryHandle};
 
 /// A `prov` row in the ExSPAN / Basic layout:
 /// `(Loc, VID, RID, RLoc)` with NULLable rule reference (Table 1, Table 2).
@@ -360,6 +361,33 @@ impl InterClassTables {
     /// Number of link rows.
     pub fn link_rows(&self) -> usize {
         self.links.len()
+    }
+}
+
+/// The per-node table gauges every scheme reports after a table changes
+/// (`recorder.prov_rows`, `recorder.rule_exec_rows`,
+/// `recorder.storage_bytes`), registered once when telemetry attaches.
+#[derive(Debug)]
+pub(crate) struct TableGauges {
+    prov_rows: PerNode<Gauge>,
+    rule_exec_rows: PerNode<Gauge>,
+    storage_bytes: PerNode<Gauge>,
+}
+
+impl TableGauges {
+    pub(crate) fn register(t: &TelemetryHandle, nodes: usize) -> TableGauges {
+        TableGauges {
+            prov_rows: t.node_gauges("recorder.prov_rows", nodes),
+            rule_exec_rows: t.node_gauges("recorder.rule_exec_rows", nodes),
+            storage_bytes: t.node_gauges("recorder.storage_bytes", nodes),
+        }
+    }
+
+    /// Report `node`'s `(prov, ruleExec)` row counts and storage bytes.
+    pub(crate) fn report(&self, node: NodeId, (prov, rule_exec): (usize, usize), bytes: usize) {
+        self.prov_rows.at(node.0).set(prov as i64);
+        self.rule_exec_rows.at(node.0).set(rule_exec as i64);
+        self.storage_bytes.at(node.0).set(bytes as i64);
     }
 }
 

@@ -62,11 +62,14 @@ impl SecondaryIndex {
 /// Rows are kept in insertion-order slots (deterministic iteration, so
 /// joins and therefore rule firings are reproducible) plus a position map
 /// (O(1) duplicate detection and O(1) removal), plus any secondary indexes
-/// built for compiled-plan probes.
+/// built for compiled-plan probes. The rows' total [`StorageSize`] is kept
+/// as a running sum, so the table's storage size costs O(1).
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     /// Append-only row storage; `None` is a tombstone left by `remove`.
     slots: Vec<Option<Tuple>>,
+    /// Sum of the live rows' [`StorageSize`].
+    row_bytes: usize,
     /// Row -> slot id, for the live rows only.
     pos: HashMap<Tuple, usize>,
     /// Secondary indexes keyed by the indexed argument positions.
@@ -88,6 +91,7 @@ impl Table {
         for (positions, idx) in &mut self.indexes {
             idx.add(positions, slot, &t);
         }
+        self.row_bytes += t.storage_size();
         self.pos.insert(t.clone(), slot);
         self.slots.push(Some(t));
         true
@@ -100,6 +104,7 @@ impl Table {
         let Some(slot) = self.pos.remove(t) else {
             return false;
         };
+        self.row_bytes -= t.storage_size();
         self.slots[slot] = None;
         let tombstones = self.slots.len() - self.pos.len();
         if tombstones > self.pos.len().max(16) {
@@ -181,7 +186,7 @@ impl Table {
 
 impl StorageSize for Table {
     fn storage_size(&self) -> usize {
-        4 + self.iter().map(StorageSize::storage_size).sum::<usize>()
+        4 + self.row_bytes
     }
 }
 
@@ -264,7 +269,7 @@ impl Database {
 
     /// Estimated wire-format bytes of all current rows (sum of the
     /// tables' [`StorageSize`]), the database-side analogue of the
-    /// recorders' storage estimate.
+    /// recorders' storage estimate. O(number of relations).
     pub fn estimated_bytes(&self) -> usize {
         self.tables.values().map(StorageSize::storage_size).sum()
     }
@@ -417,6 +422,90 @@ mod tests {
         db.remove(&r);
         assert_eq!(db.count("route"), 0);
         assert_eq!(db.by_vid(&vid), Some(&r));
+    }
+
+    /// The running byte total must equal a recount over the live rows.
+    fn assert_bytes_match_recount(t: &Table) {
+        let recount: usize = t.iter().map(StorageSize::storage_size).sum();
+        assert_eq!(t.storage_size(), 4 + recount);
+    }
+
+    #[test]
+    fn running_storage_size_matches_recount_under_churn() {
+        use dpc_common::{Rng, SeededRng};
+        let mut rng = SeededRng::seed_from_u64(0x7AB1E);
+        // Rows of varying size, drawn from a small space so inserts
+        // collide with live rows and removes often miss.
+        let row = |rng: &mut SeededRng| {
+            Tuple::new(
+                "packet",
+                vec![
+                    Value::Addr(NodeId(rng.bounded(8) as u32)),
+                    Value::str("x".repeat(rng.bounded(24) as usize)),
+                ],
+            )
+        };
+        let mut t = Table::new();
+        for _ in 0..2000 {
+            let r = row(&mut rng);
+            let present = t.contains(&r);
+            if rng.bounded(2) == 0 {
+                assert_eq!(t.insert(r.clone()), !present);
+                assert_bytes_match_recount(&t);
+                assert!(!t.insert(r), "duplicate insert");
+            } else {
+                assert_eq!(t.remove(&r), present);
+                assert_bytes_match_recount(&t);
+                assert!(!t.remove(&r), "remove of a missing tuple");
+            }
+            assert_bytes_match_recount(&t);
+        }
+
+        // Bulk removals past the compaction threshold (tombstones
+        // outnumbering live rows), with an index to discard on the way.
+        let mut t = Table::new();
+        for i in 0..400u32 {
+            t.insert(Tuple::new(
+                "packet",
+                vec![
+                    Value::Addr(NodeId(i)),
+                    Value::str("y".repeat(i as usize % 17)),
+                ],
+            ));
+        }
+        t.ensure_index(&[0]);
+        let slots_before = t.slots.len();
+        let mut rows: Vec<Tuple> = t.iter().cloned().collect();
+        while rows.len() > 10 {
+            let r = rows.swap_remove(rng.bounded(rows.len() as u64) as usize);
+            assert!(t.remove(&r));
+            assert_bytes_match_recount(&t);
+        }
+        assert!(t.slots.len() < slots_before, "compaction ran");
+
+        // Edits through `Database::table_mut` keep the database total.
+        let mut db = Database::new();
+        for _ in 0..50 {
+            db.insert(row(&mut rng));
+            db.insert(route(1, rng.bounded(50) as u32, 2));
+        }
+        let db_recount = |db: &Database| -> usize {
+            db.relations()
+                .map(|rel| 4 + db.rows(rel).map(StorageSize::storage_size).sum::<usize>())
+                .sum()
+        };
+        assert_eq!(db.estimated_bytes(), db_recount(&db));
+        for _ in 0..200 {
+            let r = row(&mut rng);
+            let table = db.table_mut("packet").expect("packet rows exist");
+            if rng.bounded(2) == 0 {
+                table.insert(r);
+            } else {
+                table.remove(&r);
+            }
+            assert_bytes_match_recount(db.table("packet").unwrap());
+            assert_eq!(db.estimated_bytes(), db_recount(&db));
+        }
     }
 
     #[test]

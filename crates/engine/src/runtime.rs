@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use dpc_common::{Error, EvId, NodeId, Result, StorageSize, Tuple, Vid};
 use dpc_ndlog::{analyze, Delp, Mode as AnalysisMode};
 use dpc_netsim::{Network, Sim, SimTime, TrafficStats};
-use dpc_telemetry::{AttrValue, SpanContext, TelemetryHandle, TraceKind};
+use dpc_telemetry::{AttrValue, Counter, Gauge, PerNode, SpanContext, TelemetryHandle};
 
 use crate::db::Database;
 use crate::eval::{eval_rule, FnRegistry};
@@ -65,6 +65,8 @@ pub struct NodeMetrics {
     pub outputs: u64,
     /// `sig` broadcasts received.
     pub sigs: u64,
+    /// Fresh input events handled (stage 1 ran here).
+    pub inputs: u64,
 }
 
 /// Tunables of the runtime.
@@ -120,6 +122,41 @@ pub struct RunMetrics {
     pub total_traffic_bytes: u64,
     /// Total provenance storage across all nodes, bytes.
     pub total_storage_bytes: usize,
+    /// Join probes served by a secondary index (compiled plans only).
+    pub index_hits: u64,
+    /// Join probes that fell back to a table scan (compiled plans only).
+    pub index_misses: u64,
+}
+
+/// The runtime's metric handles, registered once in
+/// [`Runtime::attach_telemetry`].
+struct EngineMetrics {
+    sig_broadcasts: Counter,
+    sigs_received: PerNode<Counter>,
+    events_handled: PerNode<Counter>,
+    outputs: PerNode<Counter>,
+    joins_attempted: PerNode<Counter>,
+    index_hits: PerNode<Counter>,
+    index_misses: PerNode<Counter>,
+    rules_fired: PerNode<Counter>,
+    db_rows: PerNode<Gauge>,
+}
+
+impl EngineMetrics {
+    fn register(t: &TelemetryHandle, nodes: usize) -> EngineMetrics {
+        use dpc_telemetry::counters::{INDEX_HITS, INDEX_MISSES};
+        EngineMetrics {
+            sig_broadcasts: t.counter("engine.sig_broadcasts"),
+            sigs_received: t.node_counters("engine.sigs_received", nodes),
+            events_handled: t.node_counters("engine.events_handled", nodes),
+            outputs: t.node_counters("engine.outputs", nodes),
+            joins_attempted: t.node_counters("engine.joins_attempted", nodes),
+            index_hits: t.node_counters(INDEX_HITS, nodes),
+            index_misses: t.node_counters(INDEX_MISSES, nodes),
+            rules_fired: t.node_counters("engine.rules_fired", nodes),
+            db_rows: t.node_gauges("engine.db_rows", nodes),
+        }
+    }
 }
 
 /// A fluent constructor for [`Runtime`]: collects the recorder, config,
@@ -211,7 +248,7 @@ impl<R: ProvRecorder> RuntimeBuilder<R> {
 
     /// Attach a telemetry sink: wired into the simulator (traffic
     /// counters, queueing delays), the runtime (rule/join/output counters,
-    /// trace events, periodic snapshots on the simulated clock) and the
+    /// spans, periodic snapshots on the simulated clock) and the
     /// recorder (table sizes, `htequi` hit rates).
     pub fn telemetry(mut self, telemetry: TelemetryHandle) -> Self {
         self.telemetry = Some(telemetry);
@@ -285,7 +322,10 @@ pub struct Runtime<R> {
     /// Static-analysis warnings accepted at build time (see
     /// [`RuntimeBuilder::build`]); exported when telemetry attaches.
     lint_warnings: u64,
+    /// Index probe totals over every compiled-plan evaluation.
+    eval_stats: EvalStats,
     telemetry: Option<TelemetryHandle>,
+    handles: Option<EngineMetrics>,
 }
 
 impl Runtime<NoopRecorder> {
@@ -317,7 +357,9 @@ impl<R: ProvRecorder> Runtime<R> {
             outputs_count: 0,
             rules_fired: 0,
             lint_warnings: 0,
+            eval_stats: EvalStats::default(),
             telemetry: None,
+            handles: None,
         }
     }
 
@@ -363,18 +405,15 @@ impl<R: ProvRecorder> Runtime<R> {
     pub fn attach_telemetry(&mut self, telemetry: TelemetryHandle) {
         self.sim.set_telemetry(telemetry.clone());
         self.recorder.attach_telemetry(telemetry.clone());
-        telemetry.count(
-            dpc_telemetry::counters::PLANS_COMPILED,
-            None,
-            self.plans.len() as u64,
-        );
+        telemetry
+            .counter(dpc_telemetry::counters::PLANS_COMPILED)
+            .add(self.plans.len() as u64);
         if self.lint_warnings > 0 {
-            telemetry.count(
-                dpc_telemetry::counters::LINT_WARNINGS,
-                None,
-                self.lint_warnings,
-            );
+            telemetry
+                .counter(dpc_telemetry::counters::LINT_WARNINGS)
+                .add(self.lint_warnings);
         }
+        self.handles = Some(EngineMetrics::register(&telemetry, self.dbs.len()));
         self.telemetry = Some(telemetry);
     }
 
@@ -402,6 +441,8 @@ impl<R: ProvRecorder> Runtime<R> {
             dropped_messages: self.sim.dropped(),
             total_traffic_bytes: self.sim.stats().total_bytes(),
             total_storage_bytes,
+            index_hits: self.eval_stats.index_hits,
+            index_misses: self.eval_stats.index_misses,
         }
     }
 
@@ -528,7 +569,7 @@ impl<R: ProvRecorder> Runtime<R> {
         let at = at.max(self.sim.now());
         let root = self.telemetry.as_ref().map_or(SpanContext::NONE, |t| {
             let s = t.span_root("exec", Some(node.0), at.as_nanos());
-            t.span_attr(s, "exec_id", AttrValue::UInt(exec_id));
+            t.span_attr(s, "exec_id", || AttrValue::UInt(exec_id));
             s
         });
         self.sim
@@ -631,19 +672,16 @@ impl<R: ProvRecorder> Runtime<R> {
     }
 
     fn handle(&mut self, at: SimTime, node: NodeId, msg: Msg, ctx: SpanContext) -> Result<()> {
-        if let Some(t) = &self.telemetry {
-            t.maybe_snapshot(at.as_nanos());
-            if let Some(stamp) = t.sample_tick(at.as_nanos()) {
-                self.record_timeseries(stamp);
-            }
+        if let Some(stamp) = self.telemetry.as_ref().and_then(|t| t.tick(at.as_nanos())) {
+            self.record_timeseries(stamp);
         }
         match msg {
             Msg::Event { tuple, meta } => self.handle_event(at, node, tuple, meta, ctx),
             Msg::SlowInsert { tuple } => {
                 self.recorder.on_base_install(node, &tuple);
                 self.dbs[node.index()].insert(tuple);
-                if let Some(t) = &self.telemetry {
-                    t.count("engine.sig_broadcasts", None, 1);
+                if let Some(m) = &self.handles {
+                    m.sig_broadcasts.add(1);
                 }
                 // The Section 5.5 control broadcast is its own trace: the
                 // root spans the fan-out until the last sig arrives.
@@ -678,9 +716,10 @@ impl<R: ProvRecorder> Runtime<R> {
             }
             Msg::Sig => {
                 self.metrics[node.index()].sigs += 1;
+                if let Some(m) = &self.handles {
+                    m.sigs_received.at(node.0).add(1);
+                }
                 if let Some(t) = &self.telemetry {
-                    t.count("engine.sigs_received", Some(node.0), 1);
-                    t.trace(at.as_nanos(), Some(node.0), TraceKind::Sig);
                     // The htequi clear is instantaneous in the model; the
                     // span still marks where equivalence state reset.
                     let s = t.span_child("engine.sig", Some(node.0), ctx, at.as_nanos());
@@ -701,19 +740,20 @@ impl<R: ProvRecorder> Runtime<R> {
         ctx: SpanContext,
     ) -> Result<()> {
         self.metrics[node.index()].events_handled += 1;
-        if let Some(t) = &self.telemetry {
-            t.count("engine.events_handled", Some(node.0), 1);
+        if let Some(m) = &self.handles {
+            m.events_handled.at(node.0).add(1);
         }
         // Output tuples complete an execution (stage 3).
         if self.delp.is_output(tuple.rel()) {
             self.metrics[node.index()].outputs += 1;
             self.outputs_count += 1;
+            if let Some(m) = &self.handles {
+                m.outputs.at(node.0).add(1);
+            }
             if let Some(t) = &self.telemetry {
-                t.count("engine.outputs", Some(node.0), 1);
-                t.trace(at.as_nanos(), Some(node.0), TraceKind::Stage3);
                 // Stage 3 closes the execution's root span.
                 let s = t.span_child("engine.event", Some(node.0), ctx, at.as_nanos());
-                t.span_attr(s, "output", AttrValue::Str(tuple.rel().to_string()));
+                t.span_attr(s, "output", || AttrValue::Str(tuple.rel().to_string()));
                 t.span_end(s, at.as_nanos());
                 t.span_end_root(ctx.trace, at.as_nanos());
             }
@@ -739,28 +779,22 @@ impl<R: ProvRecorder> Runtime<R> {
         // added to the execution.
         let ev = self.telemetry.as_ref().map_or(SpanContext::NONE, |t| {
             let s = t.span_child("engine.event", Some(node.0), ctx, at.as_nanos());
-            t.span_attr(s, "rel", AttrValue::Str(tuple.rel().to_string()));
+            t.span_attr(s, "rel", || AttrValue::Str(tuple.rel().to_string()));
             s
         });
 
         // Stage 1 for fresh inputs: equivalence-keys checking and event
         // materialization.
         if meta.stage == Stage::Input {
+            self.metrics[node.index()].inputs += 1;
             self.recorder.on_input(node, &tuple, &mut meta);
             if let Some(t) = &self.telemetry {
-                t.trace(at.as_nanos(), Some(node.0), TraceKind::Stage1);
                 // Schemes that run the equivalence check set `eq_hash`;
                 // `exist_flag` then distinguishes a compressed re-execution
                 // (hit) from a fresh class (miss).
                 if meta.eq_hash.is_some() {
-                    let kind = if meta.exist_flag {
-                        TraceKind::EqHit
-                    } else {
-                        TraceKind::EqMiss
-                    };
-                    t.trace(at.as_nanos(), Some(node.0), kind);
                     let eq = t.span_child("engine.eq", Some(node.0), ev, at.as_nanos());
-                    t.span_attr(eq, "hit", AttrValue::UInt(meta.exist_flag as u64));
+                    t.span_attr(eq, "hit", || AttrValue::UInt(meta.exist_flag as u64));
                     t.span_end(eq, at.as_nanos());
                 }
             }
@@ -783,27 +817,20 @@ impl<R: ProvRecorder> Runtime<R> {
         let mut ev_end = at;
         for plan in &plans {
             let rule = plan.rule();
-            if let Some(t) = &self.telemetry {
-                t.count("engine.joins_attempted", Some(node.0), 1);
+            if let Some(m) = &self.handles {
+                m.joins_attempted.at(node.0).add(1);
             }
             let firings = if self.config.compiled_plans {
                 let mut stats = EvalStats::default();
                 let firings =
                     plan.eval(&tuple, &mut self.dbs[node.index()], &self.fns, &mut stats)?;
-                if let Some(t) = &self.telemetry {
+                self.eval_stats.merge(stats);
+                if let Some(m) = &self.handles {
                     if stats.index_hits > 0 {
-                        t.count(
-                            dpc_telemetry::counters::INDEX_HITS,
-                            Some(node.0),
-                            stats.index_hits,
-                        );
+                        m.index_hits.at(node.0).add(stats.index_hits);
                     }
                     if stats.index_misses > 0 {
-                        t.count(
-                            dpc_telemetry::counters::INDEX_MISSES,
-                            Some(node.0),
-                            stats.index_misses,
-                        );
+                        m.index_misses.at(node.0).add(stats.index_misses);
                     }
                 }
                 firings
@@ -813,17 +840,15 @@ impl<R: ProvRecorder> Runtime<R> {
             for firing in firings {
                 self.rules_fired += 1;
                 self.metrics[node.index()].rules_fired += 1;
-                if let Some(t) = &self.telemetry {
-                    t.count("engine.rules_fired", Some(node.0), 1);
-                    t.trace(at.as_nanos(), Some(node.0), TraceKind::RuleFired);
-                    t.trace(at.as_nanos(), Some(node.0), TraceKind::Stage2);
+                if let Some(m) = &self.handles {
+                    m.rules_fired.at(node.0).add(1);
                 }
                 // The "engine.rule" span runs from the firing to the
                 // derived tuple's arrival at its destination, so per-rule
                 // histograms measure real end-to-end rule latency.
                 let rule_span = self.telemetry.as_ref().map_or(SpanContext::NONE, |t| {
                     let s = t.span_child("engine.rule", Some(node.0), ev, at.as_nanos());
-                    t.span_attr(s, "rule", AttrValue::Str(rule.label.clone()));
+                    t.span_attr(s, "rule", || AttrValue::Str(rule.label.clone()));
                     s
                 });
                 let out_meta =
@@ -864,11 +889,11 @@ impl<R: ProvRecorder> Runtime<R> {
         }
         if let Some(t) = &self.telemetry {
             t.span_end(ev, ev_end.as_nanos());
-            t.gauge(
-                "engine.db_rows",
-                Some(node.0),
-                self.dbs[node.index()].len() as i64,
-            );
+        }
+        if let Some(m) = &self.handles {
+            m.db_rows
+                .at(node.0)
+                .set(self.dbs[node.index()].len() as i64);
         }
         Ok(())
     }

@@ -9,7 +9,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use dpc_common::{Error, NodeId, Result};
-use dpc_telemetry::{AttrValue, SpanContext, TelemetryHandle, TraceKind};
+use dpc_telemetry::{AttrValue, Counter, Hist, PerNode, SpanContext, TelemetryHandle};
 
 use crate::network::Network;
 use crate::stats::TrafficStats;
@@ -67,6 +67,15 @@ struct Loss {
     count: u64,
 }
 
+/// The simulator's metric handles, registered once in
+/// [`Sim::set_telemetry`].
+struct NetMetrics {
+    msgs_sent: PerNode<Counter>,
+    bytes_sent: PerNode<Counter>,
+    msgs_dropped: PerNode<Counter>,
+    queue_delay_ns: Hist,
+}
+
 /// The discrete-event simulator.
 pub struct Sim<M> {
     net: Network,
@@ -83,6 +92,7 @@ pub struct Sim<M> {
     dropped: u64,
     stats: TrafficStats,
     telemetry: Option<TelemetryHandle>,
+    metrics: Option<NetMetrics>,
 }
 
 impl<M> Sim<M> {
@@ -99,39 +109,37 @@ impl<M> Sim<M> {
             dropped: 0,
             stats: TrafficStats::new(),
             telemetry: None,
+            metrics: None,
         }
     }
 
     /// Attach a telemetry sink: per-node message/byte counters, a drop
-    /// counter and a queueing-delay histogram are recorded through it.
+    /// counter and a queueing-delay histogram are recorded through it,
+    /// for the nodes the network has now.
     pub fn set_telemetry(&mut self, telemetry: TelemetryHandle) {
+        let n = self.net.node_count();
+        self.metrics = Some(NetMetrics {
+            msgs_sent: telemetry.node_counters("net.msgs_sent", n),
+            bytes_sent: telemetry.node_counters("net.bytes_sent", n),
+            msgs_dropped: telemetry.node_counters("net.msgs_dropped", n),
+            queue_delay_ns: telemetry.hist("net.queue_delay_ns"),
+        });
         self.telemetry = Some(telemetry);
-    }
-
-    /// The attached telemetry sink, if any.
-    pub fn telemetry(&self) -> Option<&TelemetryHandle> {
-        self.telemetry.as_ref()
     }
 
     /// Record one hop's telemetry: `queued` is how long the message waited
     /// for the directed link to free up before transmission began.
     fn record_hop(&self, src: NodeId, bytes: usize, queued: SimTime) {
-        if let Some(t) = &self.telemetry {
-            t.count("net.msgs_sent", Some(src.0), 1);
-            t.count("net.bytes_sent", Some(src.0), bytes as u64);
-            t.observe("net.queue_delay_ns", None, queued.as_nanos());
-            t.trace(self.now.as_nanos(), Some(src.0), TraceKind::MsgSend);
+        if let Some(m) = &self.metrics {
+            m.msgs_sent.at(src.0).add(1);
+            m.bytes_sent.at(src.0).add(bytes as u64);
+            m.queue_delay_ns.observe(queued.as_nanos());
         }
     }
 
     /// The underlying network.
     pub fn net(&self) -> &Network {
         &self.net
-    }
-
-    /// Mutable access to the network (e.g. to add links mid-run).
-    pub fn net_mut(&mut self) -> &mut Network {
-        &mut self.net
     }
 
     /// Current simulated time.
@@ -179,9 +187,8 @@ impl<M> Sim<M> {
             l.count += 1;
             if l.count % l.every == 0 {
                 self.dropped += 1;
-                if let Some(t) = &self.telemetry {
-                    t.count("net.msgs_dropped", Some(src.0), 1);
-                    t.trace(self.now.as_nanos(), Some(src.0), TraceKind::MsgDrop);
+                if let Some(m) = &self.metrics {
+                    m.msgs_dropped.at(src.0).add(1);
                 }
                 return true;
             }
@@ -216,14 +223,16 @@ impl<M> Sim<M> {
         };
         let node = Some(src.0);
         let hop = t.span_child("net.hop", node, ctx, start.as_nanos());
-        t.span_attr(hop, "link", AttrValue::Str(format!("{}->{}", src.0, dst.0)));
-        t.span_attr(hop, "bytes", AttrValue::UInt(bytes as u64));
+        t.span_attr(hop, "link", || {
+            AttrValue::Str(format!("{}->{}", src.0, dst.0))
+        });
+        t.span_attr(hop, "bytes", || AttrValue::UInt(bytes as u64));
         let enq = t.span_child("net.enqueue", node, hop, start.as_nanos());
         t.span_end(enq, free.as_nanos());
         let ser = t.span_child("net.serialize", node, hop, free.as_nanos());
         t.span_end(ser, tx_done.as_nanos());
         if dropped {
-            t.span_attr(hop, "dropped", AttrValue::UInt(1));
+            t.span_attr(hop, "dropped", || AttrValue::UInt(1));
             t.span_end(hop, tx_done.as_nanos());
         } else {
             let prop = t.span_child("net.propagate", node, hop, tx_done.as_nanos());
@@ -416,7 +425,7 @@ impl<M> Sim<M> {
     }
 
     /// Record the network layer's time-series gauges at sampling stamp
-    /// `stamp` (from [`dpc_telemetry::Telemetry::sample_tick`] /
+    /// `stamp` (from [`dpc_telemetry::Telemetry::tick`] /
     /// `sample_now`): event-heap depth, cumulative bytes on the wire,
     /// per-directed-link queue backlog (nanoseconds until the link is
     /// free) and utilization (busy time over elapsed simulated time,

@@ -12,26 +12,32 @@
 //!   hits); gauges are last-write-wins values (DB rows); histograms
 //!   aggregate distributions (per-link queueing delay) into count / sum /
 //!   min / max plus power-of-two buckets.
-//! * **An event-trace ring buffer** of the most recent [`TraceEvent`]s
-//!   (rule firings, message sends and drops, recorder stage calls,
-//!   equivalence-key hits vs. misses, `sig` broadcasts), bounded so
-//!   tracing a million-packet run costs constant memory.
+//! * **Metric handles.** A layer registers its metrics once, when
+//!   telemetry attaches ([`Telemetry::counter`], [`Telemetry::node_gauges`],
+//!   …), and writes through the returned [`Counter`] / [`Gauge`] /
+//!   [`Hist`] handles — per-node metrics as a [`PerNode`] array indexed
+//!   by node id. A handle owns its atomic cell, so a write takes no lock
+//!   and hashes no string. Readers ([`Telemetry::counter_total`],
+//!   snapshots, the sampler) find cells by name under the registry lock;
+//!   a registered cell that was never written stays out of their output.
 //! * **Periodic snapshots on the simulated clock**: the engine calls
-//!   [`Telemetry::maybe_snapshot`] as simulated time advances; each due
-//!   tick freezes the registry into a [`Snapshot`] that serializes to one
-//!   JSON line (hand-rolled serializer, no serde — the build is
-//!   dependency-free).
+//!   [`Telemetry::tick`] as simulated time advances; each due tick freezes
+//!   the registry into a [`Snapshot`] that serializes to one JSON line
+//!   (hand-rolled serializer, no serde — the build is dependency-free).
+//!   The next due instant lives in an atomic, so a tick with nothing due
+//!   costs one load.
 //!
-//! The registry is shared as a [`TelemetryHandle`]
-//! (`Arc<Telemetry>` over an internal `std::sync::Mutex`), cheap to clone
-//! into the simulator, the runtime and the recorders. All time is plain
-//! `u64` nanoseconds of simulated time: this crate sits below
-//! `dpc-netsim`, so it cannot (and need not) name `SimTime`.
+//! The registry is shared as a [`TelemetryHandle`] (`Arc<Telemetry>`,
+//! `Send + Sync`), cheap to clone into the simulator, the runtime and
+//! the recorders. All time is plain `u64` nanoseconds of simulated time:
+//! this crate sits below `dpc-netsim`, so it cannot (and need not) name
+//! `SimTime`.
 //!
 //! On top of the flat metrics sits **causal span tracing** (the [`span`]
 //! module): head-sampled trees of timed spans whose [`SpanContext`] rides
 //! every simulated message, with critical-path analysis and a Chrome
-//! trace-event export ([`chrome`]) loadable in Perfetto.
+//! trace-event export ([`chrome`]) loadable in Perfetto. Span attributes
+//! are built lazily, only for sampled spans.
 
 pub mod chrome;
 pub mod json;
@@ -68,62 +74,124 @@ pub use span::{
 pub use timeseries::{Sampler, Series, SeriesStore, DEFAULT_SERIES_CAPACITY};
 
 use std::collections::BTreeMap;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A cloneable shared reference to a [`Telemetry`] registry.
 pub type TelemetryHandle = Arc<Telemetry>;
 
-/// What kind of event a [`TraceEvent`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKind {
-    /// A rule fired in the engine.
-    RuleFired,
-    /// A message entered a link.
-    MsgSend,
-    /// A message was dropped by loss injection.
-    MsgDrop,
-    /// Recorder stage 1 (`on_input`) ran.
-    Stage1,
-    /// Recorder stage 2 (`on_rule`) ran.
-    Stage2,
-    /// Recorder stage 3 (`on_output`) ran.
-    Stage3,
-    /// An equivalence-key check hit an existing class (`htequi` hit).
-    EqHit,
-    /// An equivalence-key check saw a fresh class (`htequi` miss).
-    EqMiss,
-    /// A `sig` broadcast after a slow-table update.
-    Sig,
+// Metric cells are independent statistics: no write publishes any other
+// data, so every access is `Relaxed`.
+const RELAXED: Ordering = Ordering::Relaxed;
+
+/// A counter's value, or the bits of a gauge's `i64`. `written` keeps a
+/// registered cell that was never written out of every reader's output.
+#[derive(Debug, Default)]
+struct Cell {
+    value: AtomicU64,
+    written: AtomicBool,
 }
 
-impl TraceKind {
-    /// Stable lowercase name used in JSON output.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceKind::RuleFired => "rule_fired",
-            TraceKind::MsgSend => "msg_send",
-            TraceKind::MsgDrop => "msg_drop",
-            TraceKind::Stage1 => "stage1",
-            TraceKind::Stage2 => "stage2",
-            TraceKind::Stage3 => "stage3",
-            TraceKind::EqHit => "eq_hit",
-            TraceKind::EqMiss => "eq_miss",
-            TraceKind::Sig => "sig",
+#[derive(Debug)]
+struct HistCell {
+    count: AtomicU64,
+    sum: AtomicU64,
+    min: AtomicU64,
+    max: AtomicU64,
+    buckets: [AtomicU64; 65],
+}
+
+impl Default for HistCell {
+    fn default() -> Self {
+        HistCell {
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 }
 
-/// One entry in the event-trace ring buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Simulated time, nanoseconds.
-    pub at_nanos: u64,
-    /// The node the event happened at, if node-local.
-    pub node: Option<u32>,
-    /// What happened.
-    pub kind: TraceKind,
+impl HistCell {
+    /// The aggregate so far, or `None` if nothing was observed.
+    fn load(&self) -> Option<Histogram> {
+        let count = self.count.load(RELAXED);
+        (count > 0).then(|| Histogram {
+            count,
+            sum: self.sum.load(RELAXED),
+            min: self.min.load(RELAXED),
+            max: self.max.load(RELAXED),
+            buckets: self.buckets.iter().map(|b| b.load(RELAXED)).collect(),
+        })
+    }
+}
+
+/// Write handle for one counter cell (see [`Telemetry::counter`] and
+/// [`Telemetry::node_counters`]).
+#[derive(Debug)]
+pub struct Counter(Arc<Cell>);
+
+impl Counter {
+    /// Add `delta` to the counter.
+    #[inline]
+    pub fn add(&self, delta: u64) {
+        self.0.value.fetch_add(delta, RELAXED);
+        self.0.written.store(true, RELAXED);
+    }
+}
+
+/// Write handle for one gauge cell (see [`Telemetry::node_gauges`]).
+#[derive(Debug)]
+pub struct Gauge(Arc<Cell>);
+
+impl Gauge {
+    /// Set the gauge to `value`.
+    #[inline]
+    pub fn set(&self, value: i64) {
+        self.0.value.store(value as u64, RELAXED);
+        self.0.written.store(true, RELAXED);
+    }
+}
+
+/// Write handle for one histogram cell (see [`Telemetry::hist`]).
+#[derive(Debug)]
+pub struct Hist(Arc<HistCell>);
+
+impl Hist {
+    /// Record one observation.
+    #[inline]
+    pub fn observe(&self, v: u64) {
+        let c = &self.0;
+        c.count.fetch_add(1, RELAXED);
+        if c.sum.fetch_add(v, RELAXED).checked_add(v).is_none() {
+            // The sum saturates instead of wrapping.
+            c.sum.store(u64::MAX, RELAXED);
+        }
+        // Most observations move neither extreme: test before writing.
+        if v < c.min.load(RELAXED) {
+            c.min.fetch_min(v, RELAXED);
+        }
+        if v > c.max.load(RELAXED) {
+            c.max.fetch_max(v, RELAXED);
+        }
+        c.buckets[bucket_of(v)].fetch_add(1, RELAXED);
+    }
+}
+
+/// One handle per node, indexed by node id (see
+/// [`Telemetry::node_counters`]). Node ids past the count registered at
+/// attach time are out of range and panic.
+#[derive(Debug)]
+pub struct PerNode<H>(Box<[H]>);
+
+impl<H> PerNode<H> {
+    /// The handle for `node`.
+    #[inline]
+    pub fn at(&self, node: u32) -> &H {
+        &self.0[node as usize]
+    }
 }
 
 /// Aggregated distribution: count/sum/min/max plus power-of-two buckets
@@ -156,12 +224,7 @@ impl Histogram {
         }
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
-        let idx = if v == 0 {
-            0
-        } else {
-            64 - v.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
+        self.buckets[bucket_of(v)] += 1;
     }
 
     /// Mean observation (0.0 when empty).
@@ -174,16 +237,19 @@ impl Histogram {
     }
 }
 
+/// Power-of-two bucket of `v`: 0 for zero, else `1 + floor(log2 v)`.
+fn bucket_of(v: u64) -> usize {
+    64 - v.leading_zeros() as usize
+}
+
 /// Metric key: a static metric name plus an optional node scope.
 type Key = (&'static str, Option<u32>);
 
 #[derive(Debug, Default)]
 struct Inner {
-    counters: BTreeMap<Key, u64>,
-    gauges: BTreeMap<Key, i64>,
-    hists: BTreeMap<Key, Histogram>,
-    trace: VecDeque<TraceEvent>,
-    trace_cap: usize,
+    counters: BTreeMap<Key, Arc<Cell>>,
+    gauges: BTreeMap<Key, Arc<Cell>>,
+    hists: BTreeMap<Key, Arc<HistCell>>,
     snapshot_every_nanos: Option<u64>,
     next_snapshot_nanos: u64,
     snapshots: Vec<Snapshot>,
@@ -287,7 +353,7 @@ fn render_key(name: &str, node: Option<u32>) -> String {
     }
 }
 
-/// The shared metrics registry + trace buffer + snapshotter.
+/// The shared metrics registry + snapshotter + span store.
 ///
 /// Construct one per run, wrap it in a [`TelemetryHandle`] with
 /// [`Telemetry::handle`] (or `Arc::new`), and hand clones to the
@@ -295,10 +361,12 @@ fn render_key(name: &str, node: Option<u32>) -> String {
 #[derive(Debug)]
 pub struct Telemetry {
     inner: Mutex<Inner>,
-    /// Lock-free fast path for [`Telemetry::trace`]: mirrors
-    /// `trace_cap > 0` so a disabled registry never takes the mutex on
-    /// the per-event hot path.
-    events_enabled: AtomicBool,
+    /// Earliest simulated instant at which a snapshot or a time-series
+    /// sample is due (`u64::MAX` when neither is scheduled): the
+    /// lock-free fast path of [`Telemetry::tick`]. Written only under
+    /// the `inner` lock; `Relaxed` because it publishes no other data
+    /// (a due tick re-checks both schedules under the lock).
+    next_due: AtomicU64,
     /// Lock-free fast path for [`Telemetry::span_root`]: mirrors
     /// `span_sample_every > 0`. Unsampled contexts make every child-span
     /// call a no-op without consulting the registry at all.
@@ -311,25 +379,43 @@ impl Default for Telemetry {
     }
 }
 
-/// Default capacity of the event-trace ring buffer.
-pub const DEFAULT_TRACE_CAP: usize = 4096;
-
 /// Default hard cap on stored spans (see `Inner::span_cap`).
 pub const DEFAULT_SPAN_CAP: usize = 1 << 20;
 
+/// The cell registered under `(name, node)`, created on first use: every
+/// registration of the same key shares one cell.
+fn cell<C: Default>(
+    map: &mut BTreeMap<Key, Arc<C>>,
+    name: &'static str,
+    node: Option<u32>,
+) -> Arc<C> {
+    Arc::clone(map.entry((name, node)).or_default())
+}
+
+fn per_node<H>(
+    map: &mut BTreeMap<Key, Arc<Cell>>,
+    name: &'static str,
+    nodes: usize,
+    handle: fn(Arc<Cell>) -> H,
+) -> PerNode<H> {
+    PerNode(
+        (0..nodes as u32)
+            .map(|n| handle(cell(map, name, Some(n))))
+            .collect(),
+    )
+}
+
 impl Telemetry {
-    /// A registry with the default trace capacity, span tracing disabled,
-    /// and no periodic snapshotting (snapshots only on explicit
-    /// [`Telemetry::snapshot`]).
+    /// A registry with span tracing disabled and no periodic
+    /// snapshotting (snapshots only on explicit [`Telemetry::snapshot`]).
     pub fn new() -> Telemetry {
         Telemetry {
             inner: Mutex::new(Inner {
-                trace_cap: DEFAULT_TRACE_CAP,
                 next_span_id: 1,
                 span_cap: DEFAULT_SPAN_CAP,
                 ..Inner::default()
             }),
-            events_enabled: AtomicBool::new(true),
+            next_due: AtomicU64::new(u64::MAX),
             spans_enabled: AtomicBool::new(false),
         }
     }
@@ -340,93 +426,56 @@ impl Telemetry {
     }
 
     /// Enable periodic snapshotting every `every_nanos` of simulated
-    /// time (drives [`Telemetry::maybe_snapshot`]).
+    /// time (drives [`Telemetry::tick`]).
     pub fn set_snapshot_every_nanos(&self, every_nanos: u64) {
         let mut g = self.lock();
         g.snapshot_every_nanos = Some(every_nanos.max(1));
         g.next_snapshot_nanos = every_nanos.max(1);
-    }
-
-    /// Resize the trace ring buffer (drops oldest entries if shrinking).
-    /// Capacity 0 disables event tracing entirely: subsequent
-    /// [`Telemetry::trace`] calls return on a lock-free atomic check.
-    pub fn set_trace_capacity(&self, cap: usize) {
-        let mut g = self.lock();
-        g.trace_cap = cap;
-        while g.trace.len() > cap {
-            g.trace.pop_front();
-        }
-        self.events_enabled.store(cap > 0, Ordering::Release);
+        self.publish_next_due(&g);
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Add `delta` to counter `(name, node)`.
-    pub fn count(&self, name: &'static str, node: Option<u32>, delta: u64) {
-        let mut g = self.lock();
-        *g.counters.entry((name, node)).or_insert(0) += delta;
+    // --- Metric registration -------------------------------------------
+
+    /// Register the global counter `name`.
+    pub fn counter(&self, name: &'static str) -> Counter {
+        Counter(cell(&mut self.lock().counters, name, None))
     }
 
-    /// Set gauge `(name, node)` to `value`.
-    pub fn gauge(&self, name: &'static str, node: Option<u32>, value: i64) {
-        self.lock().gauges.insert((name, node), value);
+    /// Register counter `name` on each of nodes `0..nodes`.
+    pub fn node_counters(&self, name: &'static str, nodes: usize) -> PerNode<Counter> {
+        per_node(&mut self.lock().counters, name, nodes, Counter)
     }
 
-    /// Record `value` into histogram `(name, node)`.
-    pub fn observe(&self, name: &'static str, node: Option<u32>, value: u64) {
-        self.lock()
-            .hists
-            .entry((name, node))
-            .or_default()
-            .observe(value);
+    /// Register gauge `name` on each of nodes `0..nodes`.
+    pub fn node_gauges(&self, name: &'static str, nodes: usize) -> PerNode<Gauge> {
+        per_node(&mut self.lock().gauges, name, nodes, Gauge)
     }
 
-    /// Append a trace event (oldest entries fall off past capacity).
-    /// When tracing is disabled (`set_trace_capacity(0)`) this returns
-    /// without touching the lock.
-    pub fn trace(&self, at_nanos: u64, node: Option<u32>, kind: TraceKind) {
-        if !self.events_enabled.load(Ordering::Acquire) {
-            return;
-        }
-        let mut g = self.lock();
-        if g.trace_cap == 0 {
-            return;
-        }
-        if g.trace.len() == g.trace_cap {
-            g.trace.pop_front();
-        }
-        g.trace.push_back(TraceEvent {
-            at_nanos,
-            node,
-            kind,
-        });
+    /// Register the global histogram `name`.
+    pub fn hist(&self, name: &'static str) -> Hist {
+        Hist(cell(&mut self.lock().hists, name, None))
     }
+
+    // --- Metric readers ------------------------------------------------
 
     /// The current value of counter `name` summed over all node scopes.
     pub fn counter_total(&self, name: &str) -> u64 {
-        self.lock()
-            .counters
-            .iter()
-            .filter(|((n, _), _)| *n == name)
-            .map(|(_, v)| *v)
-            .sum()
+        counter_total(&self.lock().counters, name)
     }
 
-    /// Per-node values of counter `name` (global entries excluded).
+    /// Per-node values of counter `name` (global entries and cells never
+    /// written excluded).
     pub fn counter_by_node(&self, name: &str) -> BTreeMap<u32, u64> {
         self.lock()
             .counters
             .iter()
-            .filter_map(|((n, node), v)| (*n == name).then_some((*node, *v)))
-            .filter_map(|(node, v)| node.map(|nd| (nd, v)))
+            .filter(|((n, _), c)| *n == name && c.written.load(RELAXED))
+            .filter_map(|((_, node), c)| node.map(|nd| (nd, c.value.load(RELAXED))))
             .collect()
-    }
-
-    /// A copy of the trace ring buffer, oldest first.
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.lock().trace.iter().copied().collect()
     }
 
     /// Take a snapshot now (at simulated time `at_nanos`), regardless of
@@ -438,22 +487,55 @@ impl Telemetry {
         snap
     }
 
-    /// Snapshot if periodic snapshotting is enabled and simulated time
-    /// has reached the next due tick. Catch-up is single: one snapshot
-    /// per call even if multiple periods elapsed (the registry state in
-    /// between is gone anyway).
-    pub fn maybe_snapshot(&self, now_nanos: u64) {
-        let mut g = self.lock();
-        let Some(every) = g.snapshot_every_nanos else {
-            return;
-        };
-        if now_nanos < g.next_snapshot_nanos {
-            return;
+    /// Offer the registry the current simulated time: the single
+    /// per-event hook of the engine's loop. When nothing is due this is
+    /// one atomic load. Otherwise, under one lock:
+    ///
+    /// * if periodic snapshotting is on and its tick is due, freeze a
+    ///   [`Snapshot`] at `now_nanos` (catch-up is single: one snapshot
+    ///   per call even if several periods elapsed — the registry state
+    ///   in between is gone anyway);
+    /// * if time-series sampling is on and its tick is due, copy every
+    ///   registry gauge (keyed `name` / `name#node`) plus the derived
+    ///   ratio gauges into the series store at the *aligned* tick stamp
+    ///   ([`Sampler::due`]) and return that stamp, so callers can record
+    ///   their own layer-specific series at the same instant.
+    ///
+    /// Returns `None` when no sample was taken.
+    #[inline]
+    pub fn tick(&self, now_nanos: u64) -> Option<u64> {
+        if now_nanos < self.next_due.load(RELAXED) {
+            return None;
         }
-        let snap = freeze(&g, now_nanos);
-        g.snapshots.push(snap);
-        let periods = now_nanos / every + 1;
-        g.next_snapshot_nanos = periods * every;
+        self.tick_due(now_nanos)
+    }
+
+    #[cold]
+    fn tick_due(&self, now_nanos: u64) -> Option<u64> {
+        let mut g = self.lock();
+        if let Some(every) = g.snapshot_every_nanos {
+            if now_nanos >= g.next_snapshot_nanos {
+                let snap = freeze(&g, now_nanos);
+                g.snapshots.push(snap);
+                g.next_snapshot_nanos = (now_nanos / every + 1) * every;
+            }
+        }
+        let stamp = g.sampler.as_mut().and_then(|s| s.due(now_nanos));
+        if let Some(stamp) = stamp {
+            sample_registry(&mut g, stamp);
+        }
+        self.publish_next_due(&g);
+        stamp
+    }
+
+    /// Recompute [`Telemetry::next_due`] from the schedules in `g`.
+    fn publish_next_due(&self, g: &Inner) {
+        let snapshot = match g.snapshot_every_nanos {
+            Some(_) => g.next_snapshot_nanos,
+            None => u64::MAX,
+        };
+        let sample = g.sampler.as_ref().map_or(u64::MAX, Sampler::next_nanos);
+        self.next_due.store(snapshot.min(sample), RELAXED);
     }
 
     /// All snapshots taken so far, oldest first.
@@ -513,6 +595,7 @@ impl Telemetry {
 
     /// Start a child span under `parent`. A no-op (returning
     /// [`SpanContext::NONE`]) when the parent is unsampled.
+    #[inline]
     pub fn span_child(
         &self,
         name: &'static str,
@@ -523,6 +606,16 @@ impl Telemetry {
         if !parent.sampled {
             return SpanContext::NONE;
         }
+        self.record_child(name, node, parent, at_nanos)
+    }
+
+    fn record_child(
+        &self,
+        name: &'static str,
+        node: Option<u32>,
+        parent: SpanContext,
+        at_nanos: u64,
+    ) -> SpanContext {
         let mut g = self.lock();
         let id = g.next_span_id;
         g.next_span_id += 1;
@@ -548,10 +641,14 @@ impl Telemetry {
 
     /// End span `ctx` at `at_nanos`. No-op on unsampled contexts or
     /// already-ended spans.
+    #[inline]
     pub fn span_end(&self, ctx: SpanContext, at_nanos: u64) {
-        if !ctx.sampled {
-            return;
+        if ctx.sampled {
+            self.record_end(ctx, at_nanos);
         }
+    }
+
+    fn record_end(&self, ctx: SpanContext, at_nanos: u64) {
         let mut g = self.lock();
         if let Some(&idx) = g.span_index.get(&ctx.span.0) {
             let s = &mut g.spans[idx];
@@ -580,13 +677,18 @@ impl Telemetry {
     }
 
     /// Attach a typed attribute to span `ctx` (open or closed).
-    pub fn span_attr(&self, ctx: SpanContext, key: &'static str, value: AttrValue) {
+    pub fn span_attr(
+        &self,
+        ctx: SpanContext,
+        key: &'static str,
+        value: impl FnOnce() -> AttrValue,
+    ) {
         if !ctx.sampled {
             return;
         }
         let mut g = self.lock();
         if let Some(&idx) = g.span_index.get(&ctx.span.0) {
-            g.spans[idx].attrs.push((key, value));
+            g.spans[idx].attrs.push((key, value()));
         }
     }
 
@@ -633,25 +735,9 @@ impl Telemetry {
     /// [`timeseries::Sampler`]). Replaces any existing sampler and its
     /// accumulated series.
     pub fn set_timeseries(&self, every_nanos: u64, capacity: usize) {
-        self.lock().sampler = Some(Sampler::new(every_nanos, capacity));
-    }
-
-    /// Is time-series sampling enabled?
-    pub fn timeseries_enabled(&self) -> bool {
-        self.lock().sampler.is_some()
-    }
-
-    /// Offer the sampler the current simulated time. If a sampling tick
-    /// is due, copies every registry gauge (keyed `name` / `name#node`)
-    /// plus the derived ratio gauges into the series store at the aligned
-    /// tick timestamp and returns that stamp so callers can record their
-    /// own layer-specific series at the same instant. Returns `None` when
-    /// sampling is disabled or no tick is due.
-    pub fn sample_tick(&self, now_nanos: u64) -> Option<u64> {
         let mut g = self.lock();
-        let stamp = g.sampler.as_mut()?.due(now_nanos)?;
-        sample_registry(&mut g, stamp);
-        Some(stamp)
+        g.sampler = Some(Sampler::new(every_nanos, capacity));
+        self.publish_next_due(&g);
     }
 
     /// Sample the registry unconditionally at `now_nanos` (used for the
@@ -667,8 +753,8 @@ impl Telemetry {
     }
 
     /// Record one layer-specific sample at `stamp` (no-op when sampling
-    /// is disabled). `stamp` should come from [`Telemetry::sample_tick`]
-    /// / [`Telemetry::sample_now`] so all series share timestamps.
+    /// is disabled). `stamp` should come from [`Telemetry::tick`] /
+    /// [`Telemetry::sample_now`] so all series share timestamps.
     pub fn ts_record(&self, stamp: u64, key: &str, value: f64) {
         if let Some(s) = self.lock().sampler.as_mut() {
             s.store_mut().record(key, stamp, value);
@@ -730,13 +816,11 @@ impl Telemetry {
     }
 }
 
-/// Copy every registry gauge plus the derived ratio gauges into the
-/// sampler's store at `stamp`. Caller has checked the sampler exists.
+/// Copy every written registry gauge plus the derived ratio gauges into
+/// the sampler's store at `stamp`. Caller has checked the sampler exists.
 fn sample_registry(g: &mut Inner, stamp: u64) {
-    let gauges: Vec<(String, f64)> = g
-        .gauges
-        .iter()
-        .map(|(&(n, nd), &v)| (render_key(n, nd), v as f64))
+    let gauges: Vec<(String, f64)> = written(&g.gauges)
+        .map(|((n, nd), v)| (render_key(n, nd), v as i64 as f64))
         .collect();
     let derived = derived_from_counters(&g.counters);
     let Some(sampler) = g.sampler.as_mut() else {
@@ -751,43 +835,47 @@ fn sample_registry(g: &mut Inner, stamp: u64) {
     }
 }
 
+/// The cells of `map` that were ever written, with their values.
+fn written(map: &BTreeMap<Key, Arc<Cell>>) -> impl Iterator<Item = (Key, u64)> + '_ {
+    map.iter()
+        .filter(|(_, c)| c.written.load(RELAXED))
+        .map(|(&k, c)| (k, c.value.load(RELAXED)))
+}
+
 fn freeze(g: &Inner, at_nanos: u64) -> Snapshot {
+    let owned = |(n, nd): Key| (n.to_string(), nd);
     Snapshot {
         at_nanos,
-        counters: g
-            .counters
-            .iter()
-            .map(|(&(n, nd), &v)| ((n.to_string(), nd), v))
-            .collect(),
-        gauges: g
-            .gauges
-            .iter()
-            .map(|(&(n, nd), &v)| ((n.to_string(), nd), v))
+        counters: written(&g.counters).map(|(k, v)| (owned(k), v)).collect(),
+        gauges: written(&g.gauges)
+            .map(|(k, v)| (owned(k), v as i64))
             .collect(),
         derived: derived_from_counters(&g.counters),
         hists: g
             .hists
             .iter()
-            .map(|(&(n, nd), h)| ((n.to_string(), nd), h.clone()))
+            .filter_map(|(&k, c)| Some((owned(k), c.load()?)))
             .collect(),
     }
+}
+
+/// Counter `name` summed over all node scopes (unwritten cells are 0).
+fn counter_total(counters: &BTreeMap<Key, Arc<Cell>>, name: &str) -> u64 {
+    counters
+        .iter()
+        .filter(|((n, _), _)| *n == name)
+        .map(|(_, c)| c.value.load(RELAXED))
+        .sum()
 }
 
 /// Ratio gauges derived from raw hit/miss counter pairs, summed over all
 /// node scopes. A ratio is present only when its denominator is nonzero,
 /// so consumers can distinguish "no index activity" from "0% hits".
-fn derived_from_counters(counters: &BTreeMap<Key, u64>) -> BTreeMap<String, f64> {
-    let total = |name: &str| -> u64 {
-        counters
-            .iter()
-            .filter(|((n, _), _)| *n == name)
-            .map(|(_, v)| *v)
-            .sum()
-    };
+fn derived_from_counters(counters: &BTreeMap<Key, Arc<Cell>>) -> BTreeMap<String, f64> {
     let mut out = BTreeMap::new();
     let mut ratio = |key: &str, hits_name: &str, misses_name: &str| {
-        let hits = total(hits_name);
-        let misses = total(misses_name);
+        let hits = counter_total(counters, hits_name);
+        let misses = counter_total(counters, misses_name);
         if hits + misses > 0 {
             out.insert(key.to_string(), hits as f64 / (hits + misses) as f64);
         }
@@ -812,19 +900,84 @@ mod tests {
     #[test]
     fn counters_accumulate_per_key() {
         let t = Telemetry::new();
-        t.count("rules", None, 2);
-        t.count("rules", None, 3);
-        t.count("rules", Some(1), 7);
+        let global = t.counter("rules");
+        global.add(2);
+        global.add(3);
+        let per_node = t.node_counters("rules", 2);
+        per_node.at(1).add(7);
         assert_eq!(t.counter_total("rules"), 12);
         assert_eq!(t.counter_by_node("rules").get(&1), Some(&7));
+        // Node 0 was registered but never written.
         assert!(!t.counter_by_node("rules").contains_key(&0));
+    }
+
+    #[test]
+    fn registrations_of_one_key_share_a_cell() {
+        let t = Telemetry::new();
+        let a = t.node_counters("c", 3);
+        let b = t.node_counters("c", 2);
+        a.at(1).add(1);
+        b.at(1).add(2);
+        assert_eq!(t.counter_by_node("c"), BTreeMap::from([(1, 3)]));
+        let g1 = t.node_gauges("g", 1);
+        let g2 = t.node_gauges("g", 1);
+        g1.at(0).set(5);
+        g2.at(0).set(6);
+        assert_eq!(t.snapshot(0).gauges[&("g".to_string(), Some(0))], 6);
+    }
+
+    #[test]
+    fn unwritten_cells_stay_out_of_snapshots() {
+        let t = Telemetry::new();
+        let c = t.node_counters("c", 2);
+        let g = t.node_gauges("g", 2);
+        let _h = t.hist("h");
+        assert!(t
+            .snapshot(0)
+            .to_json()
+            .to_string()
+            .contains("\"counters\":{},\"gauges\":{}"));
+        // A zero write is still a write: the cell appears with value 0.
+        c.at(1).add(0);
+        g.at(0).set(0);
+        let snap = t.snapshot(1);
+        assert_eq!(
+            snap.counters.keys().collect::<Vec<_>>(),
+            [&("c".to_string(), Some(1))]
+        );
+        assert_eq!(
+            snap.gauges.keys().collect::<Vec<_>>(),
+            [&("g".to_string(), Some(0))]
+        );
+        assert!(snap.hists.is_empty());
+    }
+
+    #[test]
+    fn handles_write_from_many_threads() {
+        let t = Telemetry::handle();
+        let c = t.node_counters("c", 4);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for n in 0..4 {
+                        for _ in 0..1000 {
+                            c.at(n).add(1);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(t.counter_total("c"), 16_000);
     }
 
     #[test]
     fn histogram_aggregates() {
         let t = Telemetry::new();
+        let h = t.hist("delay");
         for v in [0u64, 1, 2, 3, 1000] {
-            t.observe("delay", None, v);
+            h.observe(v);
         }
         let snap = t.snapshot(5);
         let h = &snap.hists[&("delay".to_string(), None)];
@@ -833,6 +986,7 @@ mod tests {
         assert_eq!(h.min, 0);
         assert_eq!(h.max, 1000);
         assert!((h.mean() - 201.2).abs() < 1e-9);
+        assert_eq!(h.buckets.len(), 65);
         assert_eq!(h.buckets[0], 1); // the zero
         assert_eq!(h.buckets[1], 1); // 1
         assert_eq!(h.buckets[2], 2); // 2, 3
@@ -840,30 +994,18 @@ mod tests {
     }
 
     #[test]
-    fn trace_ring_is_bounded() {
-        let t = Telemetry::new();
-        t.set_trace_capacity(3);
-        for i in 0..10 {
-            t.trace(i, Some(0), TraceKind::MsgSend);
-        }
-        let events = t.trace_events();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].at_nanos, 7);
-        assert_eq!(events[2].at_nanos, 9);
-    }
-
-    #[test]
     fn periodic_snapshots_fire_on_schedule() {
         let t = Telemetry::new();
         t.set_snapshot_every_nanos(1000);
-        t.count("c", None, 1);
-        t.maybe_snapshot(500); // not due
+        let c = t.counter("c");
+        c.add(1);
+        t.tick(500); // not due
         assert!(t.snapshots().is_empty());
-        t.maybe_snapshot(1000); // due exactly on the tick
-        t.maybe_snapshot(1100); // not due again until 2000
-        t.count("c", None, 1);
-        t.maybe_snapshot(2500); // due (single catch-up)
-        t.maybe_snapshot(2600); // next due is 3000
+        t.tick(1000); // due exactly on the tick
+        t.tick(1100); // not due again until 2000
+        c.add(1);
+        t.tick(2500); // due (single catch-up)
+        t.tick(2600); // next due is 3000
         let snaps = t.snapshots();
         assert_eq!(snaps.len(), 2);
         assert_eq!(snaps[0].at_nanos, 1000);
@@ -873,21 +1015,40 @@ mod tests {
     }
 
     #[test]
+    fn tick_is_inert_until_something_is_scheduled() {
+        let t = Telemetry::new();
+        assert_eq!(t.next_due.load(RELAXED), u64::MAX);
+        assert_eq!(t.tick(u64::MAX - 1), None);
+        assert!(t.snapshots().is_empty());
+        // Snapshots and samples on different cadences: the fast path
+        // wakes at whichever falls due first.
+        t.set_snapshot_every_nanos(300);
+        t.set_timeseries(1000, 8);
+        assert_eq!(t.next_due.load(RELAXED), 300);
+        assert_eq!(t.tick(350), None, "a snapshot, but no sample");
+        assert_eq!(t.snapshots().len(), 1);
+        assert_eq!(t.next_due.load(RELAXED), 600);
+        assert_eq!(t.tick(1000), Some(1000));
+        assert_eq!(t.snapshots().len(), 2);
+        assert_eq!(t.next_due.load(RELAXED), 1200);
+    }
+
+    #[test]
     fn snapshot_json_is_deterministic() {
         let t = Telemetry::new();
-        t.count("b", Some(2), 5);
-        t.count("b", None, 1);
-        t.count("a", Some(10), 3);
-        t.gauge("g", None, -4);
-        t.observe("h", Some(0), 8);
+        t.node_counters("b", 3).at(2).add(5);
+        t.counter("b").add(1);
+        t.node_counters("a", 11).at(10).add(3);
+        t.node_gauges("g", 1).at(0).set(-4);
+        t.hist("h").observe(8);
         let line = t.snapshot(42).to_json().to_string();
         assert_eq!(
             line,
             "{\"type\":\"snapshot\",\"t_ns\":42,\
              \"counters\":{\"a#10\":3,\"b\":1,\"b#2\":5},\
-             \"gauges\":{\"g\":-4},\
+             \"gauges\":{\"g#0\":-4},\
              \"derived\":{},\
-             \"hists\":{\"h#0\":{\"count\":1,\"sum\":8,\"min\":8,\"max\":8,\"mean\":8}}}"
+             \"hists\":{\"h\":{\"count\":1,\"sum\":8,\"min\":8,\"max\":8,\"mean\":8}}}"
         );
     }
 
@@ -896,9 +1057,10 @@ mod tests {
         let t = Telemetry::new();
         // No index activity: ratio absent, not 0/0.
         assert!(t.snapshot(1).derived.is_empty());
-        t.count(counters::INDEX_HITS, Some(0), 3);
-        t.count(counters::INDEX_HITS, Some(1), 3);
-        t.count(counters::INDEX_MISSES, Some(0), 2);
+        let hits = t.node_counters(counters::INDEX_HITS, 2);
+        hits.at(0).add(3);
+        hits.at(1).add(3);
+        t.node_counters(counters::INDEX_MISSES, 1).at(0).add(2);
         let snap = t.snapshot(2);
         let ratio = snap.derived["engine.index_hit_ratio"];
         assert!((ratio - 0.75).abs() < 1e-12, "got {ratio}");
@@ -913,18 +1075,21 @@ mod tests {
     fn sampler_copies_gauges_and_derived_on_tick() {
         let t = Telemetry::new();
         t.set_timeseries(1000, 64);
-        t.gauge("engine.db_rows", Some(3), 7);
-        t.count(counters::INDEX_HITS, None, 1);
-        t.count(counters::INDEX_MISSES, None, 1);
-        assert_eq!(t.sample_tick(999), None, "not due yet");
-        assert_eq!(t.sample_tick(1234), Some(1000), "aligned stamp");
+        let rows = t.node_gauges("engine.db_rows", 4);
+        rows.at(3).set(7);
+        t.counter(counters::INDEX_HITS).add(1);
+        t.counter(counters::INDEX_MISSES).add(1);
+        assert_eq!(t.tick(999), None, "not due yet");
+        assert_eq!(t.tick(1234), Some(1000), "aligned stamp");
         t.ts_record(1000, "net.heap_depth", 5.0);
-        t.gauge("engine.db_rows", Some(3), 9);
-        assert_eq!(t.sample_tick(2000), Some(2000));
+        rows.at(3).set(9);
+        assert_eq!(t.tick(2000), Some(2000));
         assert_eq!(
             t.timeseries_get("engine.db_rows#3").unwrap(),
             vec![(1000, 7.0), (2000, 9.0)]
         );
+        // Registered but never set: no series.
+        assert_eq!(t.timeseries_get("engine.db_rows#0"), None);
         assert_eq!(
             t.timeseries_get("engine.index_hit_ratio").unwrap(),
             vec![(1000, 0.5), (2000, 0.5)]
@@ -939,21 +1104,21 @@ mod tests {
     fn sample_now_is_idempotent_on_tick_boundary() {
         let t = Telemetry::new();
         t.set_timeseries(1000, 64);
-        t.gauge("g", None, 1);
-        assert_eq!(t.sample_tick(1000), Some(1000));
-        t.gauge("g", None, 2);
+        let g = t.node_gauges("g", 1);
+        g.at(0).set(1);
+        assert_eq!(t.tick(1000), Some(1000));
+        g.at(0).set(2);
         // A forced final sample at the same virtual instant replaces the
         // tick's value rather than duplicating the timestamp.
         assert_eq!(t.sample_now(1000), Some(1000));
-        assert_eq!(t.timeseries_get("g").unwrap(), vec![(1000, 2.0)]);
+        assert_eq!(t.timeseries_get("g#0").unwrap(), vec![(1000, 2.0)]);
     }
 
     #[test]
     fn timeseries_disabled_is_inert() {
         let t = Telemetry::new();
-        assert!(!t.timeseries_enabled());
-        t.gauge("g", None, 1);
-        assert_eq!(t.sample_tick(5000), None);
+        t.node_gauges("g", 1).at(0).set(1);
+        assert_eq!(t.tick(5000), None);
         assert_eq!(t.sample_now(5000), None);
         t.ts_record(5000, "k", 1.0);
         t.ts_record_all(5000, [("k2".to_string(), 2.0)]);
@@ -965,7 +1130,7 @@ mod tests {
     #[test]
     fn json_lines_one_object_per_snapshot() {
         let t = Telemetry::new();
-        t.count("x", None, 1);
+        t.counter("x").add(1);
         t.snapshot(1);
         t.snapshot(2);
         let rendered = t.to_json_lines();
@@ -976,30 +1141,16 @@ mod tests {
     }
 
     #[test]
-    fn disabled_event_tracing_records_nothing() {
-        let t = Telemetry::new();
-        t.set_trace_capacity(0);
-        // The atomic fast path: no event is stored (and no lock taken —
-        // behaviorally, the ring stays empty however many calls arrive).
-        for i in 0..100 {
-            t.trace(i, Some(0), TraceKind::MsgSend);
-        }
-        assert!(t.trace_events().is_empty());
-        // Re-enabling restores recording.
-        t.set_trace_capacity(2);
-        t.trace(7, None, TraceKind::Sig);
-        assert_eq!(t.trace_events().len(), 1);
-    }
-
-    #[test]
     fn spans_disabled_by_default() {
         let t = Telemetry::new();
         let ctx = t.span_root("exec", Some(0), 10);
         assert!(!ctx.sampled);
         assert_eq!(ctx, SpanContext::NONE);
         assert!(t.spans().is_empty());
-        // Child calls off an unsampled context record nothing either.
+        // Child calls off an unsampled context record nothing either,
+        // and never build their attributes.
         let c = t.span_child("net.hop", Some(0), ctx, 20);
+        t.span_attr(c, "link", || unreachable!("unsampled attribute built"));
         t.span_end(c, 30);
         assert!(t.spans().is_empty());
     }
@@ -1011,7 +1162,7 @@ mod tests {
         let root = t.span_root("exec", Some(0), 100);
         assert!(root.sampled);
         let child = t.span_child("net.hop", Some(1), root, 150);
-        t.span_attr(child, "link", AttrValue::Str("0->1".into()));
+        t.span_attr(child, "link", || AttrValue::Str("0->1".into()));
         t.span_end(child, 250);
         t.span_end_root(root.trace, 300);
         let spans = t.spans();
@@ -1056,12 +1207,5 @@ mod tests {
         let root = t.span_root("exec", None, 50);
         t.span_end(root, 10); // clock confusion: clamp, don't invert
         assert_eq!(t.spans()[0].end_ns, Some(50));
-    }
-
-    #[test]
-    fn trace_kind_names_are_stable() {
-        assert_eq!(TraceKind::RuleFired.name(), "rule_fired");
-        assert_eq!(TraceKind::EqMiss.name(), "eq_miss");
-        assert_eq!(TraceKind::Sig.name(), "sig");
     }
 }

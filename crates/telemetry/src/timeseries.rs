@@ -228,7 +228,7 @@ impl Sampler {
     /// If simulated time `now_nanos` has reached the next scheduled tick,
     /// consume it and return the *aligned* tick timestamp (the largest
     /// multiple of the cadence at or before `now_nanos`). Catch-up is
-    /// single, like [`crate::Telemetry::maybe_snapshot`]: one sample per
+    /// single, like periodic snapshots ([`crate::Telemetry::tick`]): one sample per
     /// call even if several periods elapsed — the state in between is
     /// gone anyway. Aligned stamps make same-cadence runs of different
     /// schemes sample at identical virtual instants, so their series are
@@ -240,6 +240,11 @@ impl Sampler {
         let periods = now_nanos / self.every_nanos;
         self.next_nanos = (periods + 1) * self.every_nanos;
         Some(periods * self.every_nanos)
+    }
+
+    /// The next instant a sample falls due, nanoseconds.
+    pub fn next_nanos(&self) -> u64 {
+        self.next_nanos
     }
 
     /// The sampling cadence in nanoseconds.

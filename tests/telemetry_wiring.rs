@@ -1,0 +1,146 @@
+//! The telemetry registry agrees with the runtime: every total written
+//! through a metric handle equals the runtime's own count of the same
+//! events, under every provenance scheme, on a lossy forwarding run and
+//! on a DNS run. A handle registered under the wrong metric name, or
+//! indexed by the wrong node, fails here.
+
+use dpc::engine::NodeMetrics;
+use dpc::netsim::topo;
+use dpc::prelude::*;
+use dpc::telemetry::counters::INDEX_HITS;
+use dpc::workload::random_pairs;
+use dpc_common::SeededRng;
+
+const SCHEMES: [Scheme; 4] = [
+    Scheme::Noop,
+    Scheme::Exspan,
+    Scheme::Basic,
+    Scheme::Advanced,
+];
+
+/// Per-node counter `name` as the registry holds it, 0 where never written.
+fn by_node(t: &TelemetryHandle, name: &str, node: NodeId) -> u64 {
+    t.counter_by_node(name).get(&node.0).copied().unwrap_or(0)
+}
+
+fn assert_registry_matches_runtime<R: ProvRecorder>(
+    rt: &Runtime<R>,
+    t: &TelemetryHandle,
+    scheme: Scheme,
+) {
+    let ctx = format!("{scheme:?}");
+    let m = rt.metrics();
+    assert!(
+        m.rules_fired > 0 && m.outputs > 0,
+        "{ctx}: the run did work"
+    );
+    assert_eq!(
+        t.counter_total("engine.rules_fired"),
+        m.rules_fired,
+        "{ctx}"
+    );
+    assert_eq!(t.counter_total("engine.outputs"), m.outputs, "{ctx}");
+    assert_eq!(t.counter_total(INDEX_HITS), m.index_hits, "{ctx}");
+    assert_eq!(
+        t.counter_total("net.msgs_sent"),
+        rt.stats().messages(),
+        "{ctx}"
+    );
+    assert_eq!(
+        t.counter_total("net.msgs_dropped"),
+        m.dropped_messages,
+        "{ctx}"
+    );
+    let htequi =
+        t.counter_total("recorder.htequi_hits") + t.counter_total("recorder.htequi_misses");
+    let mut inputs = 0;
+    for node in rt.net().nodes() {
+        let own: NodeMetrics = rt.node_metrics(node);
+        inputs += own.inputs;
+        let at = format!("{ctx} at {node}");
+        assert_eq!(
+            by_node(t, "engine.rules_fired", node),
+            own.rules_fired,
+            "{at}"
+        );
+        assert_eq!(by_node(t, "engine.outputs", node), own.outputs, "{at}");
+        assert_eq!(
+            by_node(t, "engine.events_handled", node),
+            own.events_handled,
+            "{at}"
+        );
+        if scheme == Scheme::Advanced {
+            // Every fresh input runs exactly one equivalence-key check,
+            // at the node it entered.
+            let checks = by_node(t, "recorder.htequi_hits", node)
+                + by_node(t, "recorder.htequi_misses", node);
+            assert_eq!(checks, own.inputs, "{at}");
+        }
+    }
+    let expected_checks = if scheme == Scheme::Advanced {
+        inputs
+    } else {
+        0
+    };
+    assert_eq!(htequi, expected_checks, "{ctx}");
+}
+
+#[test]
+fn lossy_forwarding_registry_matches_runtime() {
+    let mut rng = SeededRng::seed_from_u64(7);
+    let ts = topo::transit_stub(&mut rng, &topo::TransitStubParams::default());
+    let pairs = random_pairs(&mut rng, &ts.stub, 12);
+    let n = ts.net.node_count();
+    for scheme in SCHEMES {
+        let t = Telemetry::handle();
+        let recorder = scheme.recorder(&programs::packet_forwarding(), n);
+        let mut rt = forwarding::make_runtime(ts.net.clone(), recorder);
+        rt.attach_telemetry(t.clone());
+        forwarding::install_routes_for_pairs(&mut rt, &pairs).unwrap();
+        // Drop every third message on each pair's first hop.
+        for &(s, _) in &pairs {
+            let (next, _) = rt.net().neighbors(s).next().unwrap();
+            rt.inject_loss(s, next, 3);
+        }
+        for (i, &(s, d)) in pairs.iter().enumerate() {
+            for k in 0..4 {
+                rt.inject(forwarding::packet(s, s, d, format!("p{i}-{k}")))
+                    .unwrap();
+            }
+        }
+        rt.run().unwrap();
+        assert!(rt.dropped_messages() > 0, "{scheme:?}: loss injected");
+        assert_registry_matches_runtime(&rt, &t, scheme);
+    }
+}
+
+#[test]
+fn dns_registry_matches_runtime() {
+    let mut rng = SeededRng::seed_from_u64(11);
+    let tree = topo::tree(
+        &mut rng,
+        &topo::TreeParams {
+            nodes: 30,
+            ..topo::TreeParams::default()
+        },
+    );
+    let n = tree.net.node_count();
+    for scheme in SCHEMES {
+        let t = Telemetry::handle();
+        let recorder = scheme.recorder(&programs::dns_resolution(), n);
+        let mut rt = dns::make_runtime(&tree, recorder);
+        rt.attach_telemetry(t.clone());
+        let dep = dns::deploy(&mut rt, &tree, 40, &[tree.root]).unwrap();
+        // Repeat URLs so the Advanced scheme sees equivalence hits.
+        for i in 0..120 {
+            let url = &dep.urls[(i * 7) % dep.urls.len()].0;
+            rt.inject(dns::url_event(tree.root, url.clone(), i as i64))
+                .unwrap();
+        }
+        rt.run().unwrap();
+        if scheme == Scheme::Advanced {
+            assert!(t.counter_total("recorder.htequi_hits") > 0);
+        }
+        assert_registry_matches_runtime(&rt, &t, scheme);
+    }
+}
