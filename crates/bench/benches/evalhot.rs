@@ -1,8 +1,9 @@
 //! Micro-benchmarks for the evaluation hot path introduced by the
 //! compiled-plan work: naive AST interpretation vs [`RulePlan`]
 //! evaluation across table sizes, secondary-index probes vs full scans,
-//! `Table` insert/remove, the cached `Tuple::vid` digest, and the
-//! telemetry writes the runtime makes per message (a metric-handle
+//! `Table` insert/remove, the cached `Tuple::vid` and `Tuple::evid`
+//! digests (each computed only when asked for), `Database::retain` against
+//! `Database::insert` for a delivered packet, and the telemetry writes the runtime makes per message (a metric-handle
 //! increment, the due check when nothing is due, an unsampled child span
 //! with an attribute).
 //!
@@ -135,7 +136,55 @@ fn main() {
         );
         t.vid()
     });
+    b.bench("tuple_evid_fresh", || {
+        let t = Tuple::new(
+            "packet",
+            vec![
+                Value::Addr(NodeId(1)),
+                Value::Addr(NodeId(0)),
+                Value::Addr(NodeId(3)),
+                Value::str("x".repeat(500)),
+            ],
+        );
+        t.evid()
+    });
     b.bench("tuple_clone_shares_cache", || black_box(&big).clone().vid());
+
+    // Keeping a delivered packet resolvable by vid: `retain` (the vid
+    // index only, how the runtime keeps event and output tuples) against
+    // `insert` (join table plus vid index). Each iteration builds and
+    // digests a distinct fresh packet; the database starts over every
+    // `ROWS` packets so memory stays bounded.
+    const ROWS: u64 = 4096;
+    let fresh_packet = |i: u64| {
+        let mut payload = format!("{i:016}");
+        payload.push_str(&"x".repeat(500 - payload.len()));
+        Tuple::new(
+            "packet",
+            vec![
+                Value::Addr(NodeId(1)),
+                Value::Addr(NodeId(0)),
+                Value::Addr(NodeId(3)),
+                Value::str(payload),
+            ],
+        )
+    };
+    let (mut db, mut i) = (Database::new(), 0u64);
+    b.bench("database_insert_500b", || {
+        i += 1;
+        if i % ROWS == 0 {
+            db = Database::new();
+        }
+        db.insert(fresh_packet(i))
+    });
+    let (mut db, mut i) = (Database::new(), 0u64);
+    b.bench("database_retain_500b", || {
+        i += 1;
+        if i % ROWS == 0 {
+            db = Database::new();
+        }
+        db.retain(fresh_packet(i))
+    });
 
     // Telemetry as the bench runners attach it (snapshots and samples
     // every simulated second, spans off), written the way the runtime

@@ -12,7 +12,7 @@ use dpc_common::NodeId;
 use dpc_core::{
     extend_input_event_advanced, register_advanced_fns, register_provenance_fns, AdvancedRecorder,
 };
-use dpc_engine::{NoopRecorder, Runtime};
+use dpc_engine::Runtime;
 use dpc_ndlog::rewrite::rewrite_advanced;
 use dpc_ndlog::{equivalence_keys, programs, Delp};
 use dpc_netsim::{topo, Link};
@@ -43,10 +43,10 @@ fn run_self_hosted() -> usize {
     let delp = programs::packet_forwarding();
     let keys = equivalence_keys(&delp);
     let rewritten = Delp::new_relaxed(rewrite_advanced(&delp, &keys)).expect("validates");
-    let net = topo::line(LINE, Link::STUB_STUB);
-    let mut rt = Runtime::new(rewritten, net, NoopRecorder);
-    register_provenance_fns(&mut rt);
-    register_advanced_fns(&mut rt);
+    let mut builder = Runtime::builder(rewritten, topo::line(LINE, Link::STUB_STUB));
+    register_provenance_fns(builder.fns_mut());
+    register_advanced_fns(builder.fns_mut());
+    let mut rt = builder.build().expect("rewritten program builds");
     let dst = NodeId(LINE as u32 - 1);
     for i in 0..LINE as u32 - 1 {
         rt.install(forwarding::route(NodeId(i), dst, NodeId(i + 1)))

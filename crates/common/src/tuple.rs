@@ -48,10 +48,11 @@ pub type RelName = Arc<str>;
 /// node at which the tuple lives (written `@L` in surface syntax).
 ///
 /// The payload lives behind an `Arc`, so cloning a tuple is a refcount
-/// bump. The canonical SHA-1 identities (`vid`/`evid`) are computed once on
-/// first use and cached inside the shared payload, so every clone — and
-/// every recorder that re-derives an id from the same tuple — pays the
-/// hash cost at most once.
+/// bump. The canonical SHA-1 identities (`vid`/`evid`) are each computed
+/// on first use and cached inside the shared payload, so every clone — and
+/// every recorder that re-derives an id from the same tuple — pays each
+/// hash at most once, and a tuple only ever asked for its `vid` (every
+/// derived tuple) never pays for its `evid`.
 #[derive(Clone)]
 pub struct Tuple {
     inner: Arc<TupleInner>,
@@ -60,13 +61,8 @@ pub struct Tuple {
 struct TupleInner {
     rel: RelName,
     args: Vec<Value>,
-    ids: OnceLock<TupleIds>,
-}
-
-/// Lazily computed content-addressed identities (see [`Tuple::vid`]).
-struct TupleIds {
-    vid: Vid,
-    evid: EvId,
+    vid: OnceLock<Vid>,
+    evid: OnceLock<EvId>,
 }
 
 impl Tuple {
@@ -81,7 +77,8 @@ impl Tuple {
             inner: Arc::new(TupleInner {
                 rel,
                 args,
-                ids: OnceLock::new(),
+                vid: OnceLock::new(),
+                evid: OnceLock::new(),
             }),
         }
     }
@@ -134,26 +131,20 @@ impl Tuple {
         out
     }
 
-    fn ids(&self) -> &TupleIds {
-        self.inner.ids.get_or_init(|| {
-            let enc = self.encode();
-            TupleIds {
-                vid: Vid::of_bytes(&enc),
-                evid: EvId::of_bytes(&enc),
-            }
-        })
-    }
-
     /// The content-addressed tuple id: `vid = sha1(tuple)`. Computed once
     /// per tuple payload; clones share the cached digest.
     pub fn vid(&self) -> Vid {
-        self.ids().vid
+        *self.inner.vid.get_or_init(|| Vid::of_bytes(&self.encode()))
     }
 
     /// The event id used when this tuple is an input event: `evid`.
-    /// Cached alongside [`Tuple::vid`].
+    /// Cached like [`Tuple::vid`], but separately: computing one digest
+    /// never computes the other.
     pub fn evid(&self) -> EvId {
-        self.ids().evid
+        *self
+            .inner
+            .evid
+            .get_or_init(|| EvId::of_bytes(&self.encode()))
     }
 }
 
@@ -316,12 +307,65 @@ mod tests {
     #[test]
     fn clones_share_payload_and_digest_cache() {
         let a = pkt();
-        let vid = a.vid(); // forces the cache
         let b = a.clone();
         assert!(Arc::ptr_eq(&a.inner, &b.inner));
-        assert!(b.inner.ids.get().is_some(), "clone shares the cached ids");
-        assert_eq!(b.vid(), vid);
-        assert_eq!(b.evid(), a.evid());
+        // A digest computed through either handle is cached for both.
+        let vid = a.vid();
+        assert_eq!(b.inner.vid.get(), Some(&vid), "clone shares the cached vid");
+        assert!(b.inner.evid.get().is_none());
+        let evid = b.evid();
+        assert_eq!(
+            a.inner.evid.get(),
+            Some(&evid),
+            "clone shares the cached evid"
+        );
+        let c = b.clone();
+        assert_eq!((c.vid(), c.evid()), (vid, evid));
+    }
+
+    /// A 500-byte forwarding packet, the size the forwarding workloads
+    /// ship.
+    fn packet_500b() -> Tuple {
+        let payload: String = (0..500u32)
+            .map(|i| char::from(b'a' + (i % 26) as u8))
+            .collect();
+        Tuple::new(
+            "packet",
+            vec![
+                Value::Addr(NodeId(1)),
+                Value::Addr(NodeId(1)),
+                Value::Addr(NodeId(3)),
+                Value::str(payload),
+            ],
+        )
+    }
+
+    #[test]
+    fn digests_match_reference_values() {
+        // Recorded before the vid/evid caches were split: caching must
+        // never change a digest, or stored provenance stops resolving.
+        let t = packet_500b();
+        assert_eq!(t.vid().to_hex(), "87766583f17a40815360ed94b9113e619458aedc");
+        assert_eq!(
+            t.evid().to_hex(),
+            "e733ded272190897e988ce446783a74fbc4c3b61"
+        );
+        // The same values come out whichever digest is asked for first.
+        let u = packet_500b();
+        assert_eq!(u.evid(), t.evid());
+        assert_eq!(u.vid(), t.vid());
+    }
+
+    #[test]
+    fn each_digest_is_computed_only_on_demand() {
+        let t = packet_500b();
+        t.vid();
+        assert!(t.inner.vid.get().is_some());
+        assert!(t.inner.evid.get().is_none(), "vid() must not hash the evid");
+        let u = packet_500b();
+        u.evid();
+        assert!(u.inner.evid.get().is_some());
+        assert!(u.inner.vid.get().is_none(), "evid() must not hash the vid");
     }
 
     #[test]

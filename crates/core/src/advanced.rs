@@ -404,6 +404,12 @@ impl ProvRecorder for AdvancedRecorder {
             interclass_saved_bytes: t.node_counters("recorder.interclass_saved_bytes", n),
         });
     }
+
+    fn retains_intermediates(&self) -> bool {
+        // Queries read the slow tuples and the chain tail's input event,
+        // and re-execute the chain for the rest (Section 5.3, App. E).
+        false
+    }
 }
 
 #[cfg(test)]

@@ -158,6 +158,12 @@ impl ProvRecorder for BasicRecorder {
     fn attach_telemetry(&mut self, telemetry: TelemetryHandle) {
         self.gauges = Some(TableGauges::register(&telemetry, self.nodes.len()));
     }
+
+    fn retains_intermediates(&self) -> bool {
+        // Queries read the slow tuples and the chain tail's input event,
+        // and re-derive every intermediate (Section 4).
+        false
+    }
 }
 
 #[cfg(test)]

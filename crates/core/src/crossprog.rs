@@ -240,6 +240,10 @@ impl ProvRecorder for CrossProgramRecorder {
         // so the shared tables are not double-counted.
         self.nodes[node.index()].prov.bytes() + self.store.storage_at(node)
     }
+
+    fn retains_intermediates(&self) -> bool {
+        false // queried like Advanced
+    }
 }
 
 impl AdvancedStore for CrossProgramRecorder {

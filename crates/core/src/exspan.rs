@@ -184,6 +184,12 @@ impl ProvRecorder for ExspanRecorder {
     fn attach_telemetry(&mut self, telemetry: TelemetryHandle) {
         self.gauges = Some(TableGauges::register(&telemetry, self.nodes.len()));
     }
+
+    fn retains_intermediates(&self) -> bool {
+        // ExSPAN's querier fetches the content of every child of every
+        // rule execution, intermediate events included.
+        true
+    }
 }
 
 #[cfg(test)]

@@ -150,6 +150,10 @@ impl ProvRecorder for GroundTruthRecorder {
     fn storage_at(&self, _node: NodeId) -> usize {
         0 // the oracle is not a storage scheme
     }
+
+    fn retains_intermediates(&self) -> bool {
+        false // it keeps its own copies of every step
+    }
 }
 
 #[cfg(test)]

@@ -192,7 +192,12 @@ impl StorageSize for Table {
 
 /// One node's local database: tables keyed by relation name, plus a
 /// content-addressed index (`vid -> tuple`) used at provenance-query time
-/// to resolve the leaf tuples referenced by `VIDS` columns.
+/// to resolve the tuples referenced by `VIDS` columns and prov rows.
+///
+/// Two ways in: [`Database::insert`] puts a tuple in its relation's join
+/// table (slow-changing base tuples, which rules join) and in the vid
+/// index; [`Database::retain`] puts it in the vid index only (event and
+/// output tuples, which no rule joins but queries may resolve).
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: HashMap<RelName, Table>,
@@ -213,6 +218,14 @@ impl Database {
             self.by_vid.insert(t.vid(), t);
         }
         fresh
+    }
+
+    /// Make `t` resolvable through [`Database::by_vid`] without putting it
+    /// in any join table: it costs one digest and one map insert, and it
+    /// never shows up in [`Database::rows`], [`Database::count`] or the
+    /// table sizes.
+    pub fn retain(&mut self, t: Tuple) {
+        self.by_vid.insert(t.vid(), t);
     }
 
     /// Remove a tuple. The vid index keeps the tuple resolvable afterwards:
@@ -251,8 +264,8 @@ impl Database {
         self.tables.get(rel).map_or(0, Table::len)
     }
 
-    /// Resolve a tuple by content hash. Covers every tuple ever inserted,
-    /// including since-deleted ones.
+    /// Resolve a tuple by content hash. Covers every tuple ever inserted
+    /// or retained, including since-deleted ones.
     pub fn by_vid(&self, vid: &Vid) -> Option<&Tuple> {
         self.by_vid.get(vid)
     }
@@ -262,7 +275,7 @@ impl Database {
         self.tables.keys()
     }
 
-    /// Total rows across all tables.
+    /// Total rows across all join tables (retained tuples not included).
     pub fn len(&self) -> usize {
         self.tables.values().map(Table::len).sum()
     }
@@ -422,6 +435,27 @@ mod tests {
         db.remove(&r);
         assert_eq!(db.count("route"), 0);
         assert_eq!(db.by_vid(&vid), Some(&r));
+    }
+
+    #[test]
+    fn retained_tuples_resolve_but_stay_out_of_the_tables() {
+        let mut db = Database::new();
+        db.insert(route(1, 3, 2));
+        let ev = Tuple::new(
+            "packet",
+            vec![Value::Addr(NodeId(1)), Value::str("payload")],
+        );
+        let bytes = db.estimated_bytes();
+        db.retain(ev.clone());
+        db.retain(ev.clone()); // idempotent
+        assert_eq!(db.by_vid(&ev.vid()), Some(&ev));
+        assert!(!db.contains(&ev));
+        assert_eq!(db.count("packet"), 0);
+        assert_eq!(db.rows("packet").count(), 0);
+        assert!(db.table("packet").is_none());
+        assert_eq!(db.len(), 1);
+        assert_eq!(db.relations().count(), 1);
+        assert_eq!(db.estimated_bytes(), bytes);
     }
 
     /// The running byte total must equal a recount over the live rows.

@@ -110,6 +110,20 @@ pub trait ProvRecorder {
     fn attach_telemetry(&mut self, telemetry: TelemetryHandle) {
         let _ = telemetry;
     }
+
+    /// Does this scheme's query path read the contents of intermediate
+    /// event tuples (those derived by one rule and consumed by the next)?
+    ///
+    /// The runtime reads this once, when it is built. Input events and
+    /// outputs are always retained (see `RuntimeConfig::retain_tuples`);
+    /// intermediates are retained only when this returns `true`. Schemes
+    /// whose queries re-derive intermediates from the input event and the
+    /// slow tuples (Basic and Advanced, Section 4 and Appendix E) return
+    /// `false`. The default is `true`, so a recorder that does not say
+    /// keeps every tuple resolvable.
+    fn retains_intermediates(&self) -> bool {
+        true
+    }
 }
 
 // Boxed recorders forward every hook, so scheme-generic code (e.g. the
@@ -150,6 +164,10 @@ impl ProvRecorder for Box<dyn ProvRecorder> {
     fn attach_telemetry(&mut self, telemetry: TelemetryHandle) {
         (**self).attach_telemetry(telemetry)
     }
+
+    fn retains_intermediates(&self) -> bool {
+        (**self).retains_intermediates()
+    }
 }
 
 /// A recorder that maintains no provenance at all (the uninstrumented
@@ -178,6 +196,10 @@ impl ProvRecorder for NoopRecorder {
 
     fn storage_at(&self, _node: NodeId) -> usize {
         0
+    }
+
+    fn retains_intermediates(&self) -> bool {
+        false
     }
 }
 
@@ -248,6 +270,11 @@ impl<A: ProvRecorder, B: ProvRecorder> ProvRecorder for TeeRecorder<A, B> {
         // like it stays out of storage accounting.
         self.primary.attach_telemetry(telemetry);
     }
+
+    fn retains_intermediates(&self) -> bool {
+        // Either side may be queried, so keep what either one reads.
+        self.primary.retains_intermediates() || self.shadow.retains_intermediates()
+    }
 }
 
 #[cfg(test)]
@@ -289,5 +316,41 @@ mod tests {
     fn tee_reports_primary_storage() {
         let tee = TeeRecorder::new(NoopRecorder, NoopRecorder);
         assert_eq!(tee.storage_at(NodeId(0)), 0);
+    }
+
+    /// A recorder that keeps the trait's default retention.
+    struct Undeclared;
+
+    impl ProvRecorder for Undeclared {
+        fn on_input(&mut self, _node: NodeId, _event: &Tuple, _meta: &mut ProvMeta) {}
+
+        fn on_rule(
+            &mut self,
+            _node: NodeId,
+            _rule: &Rule,
+            _event: &Tuple,
+            _slow: &[Tuple],
+            _head: &Tuple,
+            meta: &ProvMeta,
+        ) -> ProvMeta {
+            meta.clone()
+        }
+
+        fn on_output(&mut self, _node: NodeId, _output: &Tuple, _meta: &ProvMeta) {}
+
+        fn storage_at(&self, _node: NodeId) -> usize {
+            0
+        }
+    }
+
+    #[test]
+    fn retention_defaults_to_everything_and_combines_by_or() {
+        assert!(Undeclared.retains_intermediates());
+        assert!(!NoopRecorder.retains_intermediates());
+        let boxed: Box<dyn ProvRecorder> = Box::new(NoopRecorder);
+        assert!(!boxed.retains_intermediates());
+        assert!(!TeeRecorder::new(NoopRecorder, NoopRecorder).retains_intermediates());
+        assert!(TeeRecorder::new(NoopRecorder, Undeclared).retains_intermediates());
+        assert!(TeeRecorder::new(Undeclared, NoopRecorder).retains_intermediates());
     }
 }

@@ -79,10 +79,15 @@ pub struct RuntimeConfig {
     /// Extra payload bytes charged per event message beyond the tuple's
     /// serialized size (models framing/headers).
     pub header_bytes: usize,
-    /// Materialize event tuples (by vid at visited nodes, by evid at the
-    /// input node) so provenance queries can resolve their contents.
-    /// Disable for storage/bandwidth measurement runs at very large scale
-    /// — queries then cannot resolve leaf contents.
+    /// Keep delivered event and output tuples resolvable so provenance
+    /// queries can fetch their contents: every input event by `vid` and
+    /// by `evid` at its input node, every output by `vid` at its node, and
+    /// — only when the recorder's queries read them
+    /// ([`ProvRecorder::retains_intermediates`]) — every intermediate
+    /// event by `vid` at the node that handled it. Retained tuples stay
+    /// out of the join tables ([`Database::retain`]). Disable for
+    /// storage/bandwidth measurement runs at very large scale: nothing is
+    /// retained, and queries then cannot resolve leaf contents.
     pub retain_tuples: bool,
     /// Keep an [`OutputRecord`] per derived output. Disable for very
     /// large measurement runs; [`Runtime::outputs_count`] still counts.
@@ -306,6 +311,9 @@ pub struct Runtime<R> {
     /// (the paper: "the tagged evid is used to retrieve the event tuple
     /// materialized at n").
     events: Vec<HashMap<EvId, Tuple>>,
+    /// The recorder's [`ProvRecorder::retains_intermediates`], read once
+    /// at construction.
+    retain_intermediates: bool,
     fns: FnRegistry,
     recorder: R,
     outputs: Vec<OutputRecord>,
@@ -347,6 +355,7 @@ impl<R: ProvRecorder> Runtime<R> {
             sim: Sim::new(net),
             dbs: (0..n).map(|_| Database::new()).collect(),
             events: (0..n).map(|_| HashMap::new()).collect(),
+            retain_intermediates: recorder.retains_intermediates(),
             fns: FnRegistry::new(),
             recorder,
             outputs: Vec::new(),
@@ -512,7 +521,11 @@ impl<R: ProvRecorder> Runtime<R> {
         self.events.get(node.index())?.get(evid)
     }
 
-    /// Resolve any tuple (base or input event) by content hash at `node`.
+    /// Resolve a tuple by content hash at `node`: any base tuple ever
+    /// installed there, and the event and output tuples retained there
+    /// under [`RuntimeConfig::retain_tuples`] — input events and outputs
+    /// always, intermediate events only for recorders whose queries read
+    /// them ([`ProvRecorder::retains_intermediates`]).
     pub fn tuple_by_vid(&self, node: NodeId, vid: &Vid) -> Option<&Tuple> {
         self.dbs.get(node.index())?.by_vid(vid)
     }
@@ -759,7 +772,7 @@ impl<R: ProvRecorder> Runtime<R> {
             }
             self.recorder.on_output(node, &tuple, &meta);
             if self.config.retain_tuples {
-                self.dbs[node.index()].insert(tuple.clone());
+                self.dbs[node.index()].retain(tuple.clone());
             }
             if self.config.record_outputs {
                 self.outputs.push(OutputRecord {
@@ -801,13 +814,12 @@ impl<R: ProvRecorder> Runtime<R> {
             meta.stage = Stage::Derived;
             if self.config.retain_tuples {
                 self.events[node.index()].insert(tuple.evid(), tuple.clone());
+                self.dbs[node.index()].retain(tuple.clone());
             }
-        }
-        // Every event tuple (input or intermediate) is resolvable by vid at
-        // the node it visited — ExSPAN's query fetches intermediate tuple
-        // contents, and input events are the leaf tuples of every scheme.
-        if self.config.retain_tuples {
-            self.dbs[node.index()].insert(tuple.clone());
+        } else if self.config.retain_tuples && self.retain_intermediates {
+            // ExSPAN's query fetches intermediate tuple contents at the
+            // node each one visited; the other schemes re-derive them.
+            self.dbs[node.index()].retain(tuple.clone());
         }
 
         // Stage 2: fire every rule whose event relation matches. Plans are
@@ -978,6 +990,36 @@ mod tests {
         assert_eq!(rt.event_by_evid(n(0), &evid), Some(&pkt));
         assert_eq!(rt.event_by_evid(n(1), &evid), None);
         assert_eq!(rt.tuple_by_vid(n(0), &pkt.vid()), Some(&pkt));
+    }
+
+    #[test]
+    fn event_tuples_are_never_joined() {
+        // A relaxed program may name a derived event relation as a
+        // condition (r3 joins `a`). Event tuples are transient, so r3 sees
+        // only base `a` rows — none here — whatever is retained.
+        let p = dpc_ndlog::parse_program(
+            "r1 a(@X, Y) :- e(@X, Y).\n\
+             r2 b(@X, Y) :- a(@X, Y).\n\
+             r3 c(@X, Y) :- e(@X, Y), a(@X, Y).",
+        )
+        .unwrap();
+        let delp = Delp::new_relaxed(p).unwrap();
+        for retain_tuples in [true, false] {
+            let mut rt = RuntimeBuilder::new(delp.clone(), topo::line(1, Link::STUB_STUB))
+                .config(RuntimeConfig {
+                    retain_tuples,
+                    ..RuntimeConfig::default()
+                })
+                .build()
+                .unwrap();
+            let ev = Tuple::new("e", vec![Value::Addr(n(0)), Value::Int(7)]);
+            for _ in 0..2 {
+                rt.inject(ev.clone()).unwrap();
+                rt.run().unwrap();
+            }
+            assert_eq!(rt.rules_fired(), 4, "r1 and r2 twice, r3 never");
+            assert_eq!(rt.db(n(0)).count("a"), 0);
+        }
     }
 
     #[test]
