@@ -8,10 +8,10 @@ use dpc_ndlog::programs;
 use dpc_netsim::Network;
 
 /// Build a `whoHas(@client, ip, rqid)` input event.
-pub fn who_has(client: NodeId, ip: impl Into<String>, rqid: i64) -> Tuple {
+pub fn who_has(client: NodeId, ip: impl AsRef<str>, rqid: i64) -> Tuple {
     Tuple::new(
         "whoHas",
-        vec![Value::Addr(client), Value::Str(ip.into()), Value::Int(rqid)],
+        vec![Value::Addr(client), Value::str(ip), Value::Int(rqid)],
     )
 }
 

@@ -12,10 +12,10 @@ use dpc_ndlog::programs;
 use dpc_netsim::topo::Tree;
 
 /// Build a `url(@host, url, rqid)` input event.
-pub fn url_event(host: NodeId, url: impl Into<String>, rqid: i64) -> Tuple {
+pub fn url_event(host: NodeId, url: impl AsRef<str>, rqid: i64) -> Tuple {
     Tuple::new(
         "url",
-        vec![Value::Addr(host), Value::Str(url.into()), Value::Int(rqid)],
+        vec![Value::Addr(host), Value::str(url), Value::Int(rqid)],
     )
 }
 
@@ -45,7 +45,12 @@ pub fn url_for(tree: &Tree, node: NodeId) -> String {
 /// `f_isSubDomain(DM, URL)`: is `URL` within the zone `DM`? True when the
 /// URL equals the domain or ends with `".<domain>"` (label boundary).
 pub fn is_sub_domain(dm: &str, url: &str) -> bool {
-    !dm.is_empty() && (url == dm || url.ends_with(&format!(".{dm}")))
+    if dm.is_empty() || !url.ends_with(dm) {
+        return false;
+    }
+    // `dm` is a suffix; it must start the URL or follow a `.`.
+    let cut = url.len() - dm.len();
+    cut == 0 || url.as_bytes()[cut - 1] == b'.'
 }
 
 /// A deployed DNS setup.
@@ -112,7 +117,7 @@ pub fn deploy<R: ProvRecorder>(
                 "nameServer",
                 vec![
                     Value::Addr(node),
-                    Value::Str(domain_of(tree, child)),
+                    Value::str(domain_of(tree, child)),
                     Value::Addr(child),
                 ],
             ))?;
@@ -135,11 +140,7 @@ pub fn deploy<R: ProvRecorder>(
         let ip = format!("10.{}.{}.{}", k / 256, k % 256, server.0 % 256);
         rt.install(Tuple::new(
             "addressRecord",
-            vec![
-                Value::Addr(server),
-                Value::Str(url.clone()),
-                Value::Str(ip.clone()),
-            ],
+            vec![Value::Addr(server), Value::str(&url), Value::str(&ip)],
         ))?;
         urls.push((url, server, ip));
     }
@@ -204,6 +205,9 @@ mod tests {
         assert!(!is_sub_domain("d3.d1", "www.d1"));
         assert!(!is_sub_domain("", "www.d1")); // the root zone never matches
         assert!(is_sub_domain("d1", "d1")); // the zone apex itself
+        assert!(!is_sub_domain("www.d1", "d1")); // domain longer than the URL
+        assert!(is_sub_domain("d1", ".d1")); // the boundary dot starts the URL
+        assert!(!is_sub_domain("3.d1", "www.d3.d1")); // suffix cuts through a label
     }
 
     #[test]
@@ -216,8 +220,8 @@ mod tests {
             rt.run().unwrap();
             let out = rt.outputs().last().unwrap();
             assert_eq!(out.tuple.rel(), "reply");
-            assert_eq!(out.tuple.args()[1], Value::Str(url.clone()), "url {url}");
-            assert_eq!(out.tuple.args()[2], Value::Str(ip.clone()));
+            assert_eq!(out.tuple.args()[1], Value::str(url), "url {url}");
+            assert_eq!(out.tuple.args()[2], Value::str(ip));
         }
         assert_eq!(rt.outputs().len(), 8);
     }

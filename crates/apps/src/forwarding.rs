@@ -6,14 +6,14 @@ use dpc_ndlog::programs;
 use dpc_netsim::Network;
 
 /// Build a `packet(@loc, src, dst, payload)` tuple.
-pub fn packet(loc: NodeId, src: NodeId, dst: NodeId, payload: impl Into<String>) -> Tuple {
+pub fn packet(loc: NodeId, src: NodeId, dst: NodeId, payload: impl AsRef<str>) -> Tuple {
     Tuple::new(
         "packet",
         vec![
             Value::Addr(loc),
             Value::Addr(src),
             Value::Addr(dst),
-            Value::Str(payload.into()),
+            Value::str(payload),
         ],
     )
 }
@@ -27,14 +27,14 @@ pub fn route(loc: NodeId, dst: NodeId, next: NodeId) -> Tuple {
 }
 
 /// Build a `recv(@loc, src, dst, payload)` tuple (the output relation).
-pub fn recv(loc: NodeId, src: NodeId, dst: NodeId, payload: impl Into<String>) -> Tuple {
+pub fn recv(loc: NodeId, src: NodeId, dst: NodeId, payload: impl AsRef<str>) -> Tuple {
     Tuple::new(
         "recv",
         vec![
             Value::Addr(loc),
             Value::Addr(src),
             Value::Addr(dst),
-            Value::Str(payload.into()),
+            Value::str(payload),
         ],
     )
 }

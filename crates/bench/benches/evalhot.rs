@@ -1,17 +1,20 @@
 //! Micro-benchmarks for the evaluation hot path introduced by the
 //! compiled-plan work: naive AST interpretation vs [`RulePlan`]
 //! evaluation across table sizes, secondary-index probes vs full scans,
-//! `Table` insert/remove, the cached `Tuple::vid` and `Tuple::evid`
-//! digests (each computed only when asked for), `Database::retain` against
-//! `Database::insert` for a delivered packet, and the telemetry writes the runtime makes per message (a metric-handle
-//! increment, the due check when nothing is due, an unsampled child span
-//! with an attribute).
+//! `Table` insert/remove, one compiled evaluation of a packet carrying a
+//! 500-B payload, SHA-1 over 4 KiB on the dispatching and the portable
+//! kernel, the cached `Tuple::vid` and `Tuple::evid` digests (each
+//! computed only when asked for), `Database::retain` against
+//! `Database::insert` for a delivered packet, and the telemetry writes
+//! the runtime makes per message (a metric-handle increment, the due check
+//! when nothing is due, an unsampled child span with an attribute).
 //!
 //! Runs on the in-tree `dpc_bench::microbench` harness (offline builds
 //! carry no criterion); enable with `--features microbench`.
 
 use dpc_bench::microbench::Bench;
-use dpc_common::{NodeId, Tuple, Value};
+use dpc_common::hash::sha1_portable;
+use dpc_common::{sha1, NodeId, Tuple, Value};
 use dpc_engine::plan::{EvalStats, RulePlan};
 use dpc_engine::{eval_rule, Database, FnRegistry, Table};
 use dpc_ndlog::programs;
@@ -30,13 +33,17 @@ fn route(loc: u32, dst: u32, next: u32) -> Tuple {
 }
 
 fn packet(loc: u32, dst: u32) -> Tuple {
+    packet_with(loc, dst, "payload")
+}
+
+fn packet_with(loc: u32, dst: u32, payload: &str) -> Tuple {
     Tuple::new(
         "packet",
         vec![
             Value::Addr(NodeId(loc)),
             Value::Addr(NodeId(0)),
             Value::Addr(NodeId(dst)),
-            Value::str("payload"),
+            Value::str(payload),
         ],
     )
 }
@@ -78,6 +85,23 @@ fn main() {
                 .unwrap()
         });
     }
+
+    // The same evaluation with a forwarding-size payload: the slot
+    // binding and the head tuple share the event's string, so this
+    // should cost what the short-payload case does.
+    let ev_500b = packet_with(1, 7, &"x".repeat(500));
+    let mut db = route_db(256);
+    b.bench("eval_rule_compiled_256_500b", || {
+        let mut stats = EvalStats::default();
+        plan.eval(black_box(&ev_500b), &mut db, &fns, &mut stats)
+            .unwrap()
+    });
+
+    // SHA-1 throughput: the kernel this CPU dispatches to (SHA-NI where
+    // present) against the portable one.
+    let block_4k: Vec<u8> = (0..4096u32).map(|i| i as u8).collect();
+    b.bench("sha1_4kib", || sha1(black_box(&block_4k)));
+    b.bench("sha1_4kib_portable", || sha1_portable(black_box(&block_4k)));
 
     // Index probe vs the scan it replaces, on the bare table.
     let mut table = Table::new();

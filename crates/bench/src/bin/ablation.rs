@@ -3,6 +3,8 @@
 //! applications. Not a paper figure — quantifies the design choice the
 //! paper motivates with Table 4.
 
+#![forbid(unsafe_code)]
+
 use dpc_apps::forwarding;
 use dpc_bench::{print_table, run_dns, run_forwarding, Cli, DnsConfig, FwdConfig, Scheme};
 use dpc_common::NodeId;

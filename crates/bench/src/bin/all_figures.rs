@@ -3,6 +3,8 @@
 //! This is a convenience wrapper: each `figNN` binary can also be run
 //! individually, with `--paper-scale` for the paper's parameters.
 
+#![forbid(unsafe_code)]
+
 use std::process::Command;
 
 fn main() {

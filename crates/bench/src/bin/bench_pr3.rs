@@ -11,6 +11,8 @@
 //! `--smoke` shrinks the workloads for CI; the checked-in numbers come
 //! from the default scale.
 
+#![forbid(unsafe_code)]
+
 use dpc_bench::{run_dns, run_forwarding, DnsConfig, FwdConfig, RunMeasurements, Scheme};
 use dpc_netsim::SimTime;
 use dpc_telemetry::json::Json;

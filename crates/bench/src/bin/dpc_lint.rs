@@ -29,6 +29,8 @@
 //! Exit codes: 0 clean, 1 diagnostics at failing severity (or parse /
 //! audit failure), 2 usage or I/O error.
 
+#![forbid(unsafe_code)]
+
 use dpc_engine::PlanSet;
 use dpc_ndlog::{
     analyze, parse_program, render_parse_error, Code, Delp, Diagnostic, Mode, Severity,

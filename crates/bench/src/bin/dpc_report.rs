@@ -20,6 +20,8 @@
 //! (exit 1) when a metric regresses past tolerance against the median of
 //! the checked-in baseline.
 
+#![forbid(unsafe_code)]
+
 use dpc_bench::history::{check, BenchRecord, History, Tolerance};
 use dpc_bench::{
     print_series, print_table, run_dns_schemes, run_forwarding_schemes, run_json, DnsConfig,

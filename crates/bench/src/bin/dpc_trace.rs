@@ -14,6 +14,8 @@
 //! * `--top <k>` — slowest queries to list (10).
 //! * `--out <path>` — Chrome trace output path (`dpc.trace.json`).
 
+#![forbid(unsafe_code)]
+
 use dpc_bench::{
     print_trace_report, run_traced_queries, span_histograms_json, trace_summary_json, Cli,
     FwdConfig,

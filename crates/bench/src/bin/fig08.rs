@@ -5,6 +5,8 @@
 //! 30 Mbps); Advanced keeps every node under 2 Mbps — roughly an 11x
 //! mean reduction. Expect the same ordering and a similar gap here.
 
+#![forbid(unsafe_code)]
+
 use dpc_bench::{emit_run_json, print_cdf, run_forwarding_schemes, Cli, FwdConfig, Scheme};
 use dpc_workload::Cdf;
 

@@ -5,6 +5,8 @@
 //! magnitude less for Advanced (10.3 MB/s). Expect the same linear shapes
 //! and a comparable ratio at the scaled workload.
 
+#![forbid(unsafe_code)]
+
 use dpc_bench::{
     emit_run_json, emit_timeseries_json, print_series, run_forwarding_schemes, Cli, FwdConfig,
     Scheme,

@@ -5,6 +5,8 @@
 //! tracks the packet count; Advanced grows with the pair count because
 //! each pair is one equivalence class, yet stays far below the other two.
 
+#![forbid(unsafe_code)]
+
 use dpc_bench::{
     emit_run_json_with, print_series, run_forwarding, span_histograms_json, Cli, FwdConfig, Scheme,
 };

@@ -6,6 +6,8 @@
 //! the per-packet metadata is negligible next to 500-byte payloads — and
 //! updating a route every 10 s adds only ~0.6%.
 
+#![forbid(unsafe_code)]
+
 use dpc_bench::{
     emit_run_json, emit_run_json_with, emit_timeseries_json, print_series, print_table,
     run_forwarding, Cli, FwdConfig, Scheme,

@@ -5,6 +5,8 @@
 //! large intermediate tuples while Basic/Advanced re-derive them at the
 //! querier. Expect the same ~3x ordering under the simulated cost model.
 
+#![forbid(unsafe_code)]
+
 use dpc_bench::fwdrun::simulated_query_means;
 use dpc_bench::{forwarding_query_latencies, print_cdf, Cli, FwdConfig, Scheme};
 use dpc_netsim::SimTime;

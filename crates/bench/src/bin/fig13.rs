@@ -5,6 +5,8 @@
 //! Advanced's 121 Kbps — about 4x (less than forwarding's 11x because the
 //! total event throughput is rated, spreading load over the tree).
 
+#![forbid(unsafe_code)]
+
 use dpc_bench::{emit_run_json_with, print_cdf, run_dns_schemes, Cli, DnsConfig, Scheme};
 use dpc_telemetry::json::Json;
 use dpc_workload::Cdf;

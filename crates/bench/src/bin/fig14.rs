@@ -5,6 +5,8 @@
 //! Advanced grows ~11.6 Kb per URL (one shared tree per equivalence
 //! class) while remaining far below both.
 
+#![forbid(unsafe_code)]
+
 use dpc_bench::{emit_run_json_with, print_series, run_dns, Cli, DnsConfig, Scheme};
 use dpc_telemetry::json::Json;
 

@@ -6,6 +6,8 @@
 //! metadata (existFlag, evid, equivalence-key hash) is a visible fraction
 //! of every message.
 
+#![forbid(unsafe_code)]
+
 use dpc_bench::{
     emit_run_json, emit_timeseries_json, print_series, print_table, run_dns, Cli, DnsConfig, Scheme,
 };

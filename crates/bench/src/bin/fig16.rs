@@ -5,6 +5,8 @@
 //! Basic / Advanced; at 100 s the totals reach 1.32 / 1.16 / 0.38 GB —
 //! Advanced roughly 3.5x below ExSPAN.
 
+#![forbid(unsafe_code)]
+
 use dpc_bench::{
     emit_run_json, emit_timeseries_json, print_series, run_dns_schemes, Cli, DnsConfig, Scheme,
 };

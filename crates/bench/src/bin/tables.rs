@@ -1,6 +1,8 @@
 //! Tables 1-4: the paper's worked storage examples, regenerated on the
 //! Figure 2 deployment (paper nodes n1,n2,n3 are our n0,n1,n2).
 
+#![forbid(unsafe_code)]
+
 use dpc_apps::forwarding;
 use dpc_bench::Cli;
 use dpc_common::NodeId;

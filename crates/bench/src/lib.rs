@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! The evaluation harness behind the `fig08`..`fig16` binaries.

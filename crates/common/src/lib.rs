@@ -1,4 +1,8 @@
 #![warn(missing_docs)]
+// The hardware SHA-1 kernel in `hash` is the workspace's only `unsafe`
+// code (every other crate forbids it); each block states why it is sound.
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 //! Shared data model for the distributed-provenance-compression workspace.
 //!
@@ -12,7 +16,8 @@
 //! * [`NodeId`] — identity of a node in the simulated distributed system.
 //! * [`sha1`] — a from-scratch SHA-1 implementation (RFC 3174) used to derive
 //!   the content-addressed `vid`/`rid`/`evid` identifiers of the provenance
-//!   model, exactly as ExSPAN and the paper do.
+//!   model, exactly as ExSPAN and the paper do. It compresses on the CPU's
+//!   SHA instructions where present and on a portable kernel otherwise.
 //! * [`Digest`], [`Vid`], [`Rid`], [`EvId`], [`EqKeyHash`] — typed digests so
 //!   a tuple id can never be confused with a rule-execution id.
 //! * [`StorageSize`] — the byte-size model standing in for the paper's
@@ -30,4 +35,4 @@ pub use hash::{sha1, Digest, EqKeyHash, EvId, Rid, Sha1, Vid};
 pub use rng::{Rng, SeededRng};
 pub use size::StorageSize;
 pub use tuple::{NodeId, RelName, Tuple};
-pub use value::Value;
+pub use value::{ByteSink, Value};

@@ -7,7 +7,7 @@ use std::sync::{Arc, OnceLock};
 use crate::error::{Error, Result};
 use crate::hash::{EvId, Vid};
 use crate::size::StorageSize;
-use crate::value::Value;
+use crate::value::{ByteSink, Value};
 
 /// Identity of a node in the distributed system.
 ///
@@ -52,7 +52,9 @@ pub type RelName = Arc<str>;
 /// on first use and cached inside the shared payload, so every clone — and
 /// every recorder that re-derives an id from the same tuple — pays each
 /// hash at most once, and a tuple only ever asked for its `vid` (every
-/// derived tuple) never pays for its `evid`.
+/// derived tuple) never pays for its `evid`. A digest streams the
+/// canonical encoding straight into the hasher; no encoding buffer is
+/// built.
 #[derive(Clone)]
 pub struct Tuple {
     inner: Arc<TupleInner>,
@@ -117,24 +119,33 @@ impl Tuple {
 
     /// Canonical byte encoding of the whole tuple, used for `vid`/`evid`
     /// computation. Injective: relation name is length-prefixed and each
-    /// value uses its own injective encoding.
+    /// value uses its own injective encoding. Exactly
+    /// [`StorageSize::storage_size`] bytes long.
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.storage_size());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Write the canonical encoding ([`Tuple::encode`]) into `out`.
+    pub fn encode_into<S: ByteSink + ?Sized>(&self, out: &mut S) {
         let rel = &self.inner.rel;
         let args = &self.inner.args;
-        let mut out = Vec::with_capacity(16 + rel.len() + args.len() * 12);
-        out.extend_from_slice(&(rel.len() as u32).to_be_bytes());
-        out.extend_from_slice(rel.as_bytes());
-        out.extend_from_slice(&(args.len() as u32).to_be_bytes());
+        out.put(&(rel.len() as u32).to_be_bytes());
+        out.put(rel.as_bytes());
+        out.put(&(args.len() as u32).to_be_bytes());
         for a in args {
-            a.encode_into(&mut out);
+            a.encode_into(out);
         }
-        out
     }
 
     /// The content-addressed tuple id: `vid = sha1(tuple)`. Computed once
     /// per tuple payload; clones share the cached digest.
     pub fn vid(&self) -> Vid {
-        *self.inner.vid.get_or_init(|| Vid::of_bytes(&self.encode()))
+        *self
+            .inner
+            .vid
+            .get_or_init(|| Vid::of_writer(|h| self.encode_into(h)))
     }
 
     /// The event id used when this tuple is an input event: `evid`.
@@ -144,7 +155,7 @@ impl Tuple {
         *self
             .inner
             .evid
-            .get_or_init(|| EvId::of_bytes(&self.encode()))
+            .get_or_init(|| EvId::of_writer(|h| self.encode_into(h)))
     }
 }
 

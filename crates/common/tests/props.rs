@@ -5,7 +5,7 @@
 //! derives its own generator from a fixed base seed, so failures
 //! reproduce exactly.
 
-use dpc_common::{NodeId, Rng, SeededRng, StorageSize, Tuple, Value};
+use dpc_common::{EvId, NodeId, Rng, SeededRng, StorageSize, Tuple, Value, Vid};
 
 const CASES: u64 = 256;
 
@@ -21,7 +21,7 @@ fn random_value(rng: &mut SeededRng) -> Value {
     match rng.random_range(0..4u32) {
         0 => Value::Addr(NodeId(rng.random_range(0..64u32))),
         1 => Value::Int(rng.next_u64() as i64),
-        2 => Value::Str(random_string(rng, 24)),
+        2 => Value::str(random_string(rng, 24)),
         _ => Value::Bool(rng.random_bool(0.5)),
     }
 }
@@ -74,6 +74,20 @@ fn hashing_is_deterministic() {
         let t = random_tuple(&mut rng);
         assert_eq!(t.vid(), t.clone().vid());
         assert_eq!(t.encode(), t.clone().encode());
+    }
+}
+
+/// The streamed digests hash exactly the bytes `encode` returns, and
+/// `encode` is exactly `storage_size` bytes long.
+#[test]
+fn streamed_digests_hash_the_encoding() {
+    for case in 0..CASES {
+        let mut rng = SeededRng::seed_from_u64(0x8000 + case);
+        let t = random_tuple(&mut rng);
+        let bytes = t.encode();
+        assert_eq!(t.vid(), Vid::of_bytes(&bytes), "{t}");
+        assert_eq!(t.evid(), EvId::of_bytes(&bytes), "{t}");
+        assert_eq!(bytes.len(), t.storage_size(), "{t}");
     }
 }
 

@@ -27,7 +27,7 @@ pub fn register_provenance_fns(fns: &mut FnRegistry) {
             return Err(Error::Eval("f_vid expects a relation name first".into()));
         };
         let t = Tuple::new(rel, args[1..].to_vec());
-        Ok(Value::Str(t.vid().to_hex()))
+        Ok(Value::str(t.vid().to_hex()))
     });
     fns.register("f_rid", |args: &[Value]| {
         let (Some(label), Some(loc)) = (
@@ -47,7 +47,7 @@ pub fn register_provenance_fns(fns: &mut FnRegistry) {
                 .ok_or_else(|| Error::Eval(format!("`{hex}` is not a 40-char hex digest")))?;
             vids.push(Vid(d));
         }
-        Ok(Value::Str(exspan_rid(label, loc, &vids).to_hex()))
+        Ok(Value::str(exspan_rid(label, loc, &vids).to_hex()))
     });
 }
 
@@ -62,7 +62,9 @@ pub fn register_advanced_fns(fns: &mut FnRegistry) {
             return Err(Error::Eval("f_arid expects a rule label first".into()));
         };
         let prev: Option<(NodeId, Rid)> = match (args.get(1), args.get(2)) {
-            (Some(Value::Str(s1)), Some(Value::Str(s2))) if s1 == NULL_REF && s2 == NULL_REF => {
+            (Some(Value::Str(s1)), Some(Value::Str(s2)))
+                if &**s1 == NULL_REF && &**s2 == NULL_REF =>
+            {
                 None
             }
             (Some(Value::Addr(l)), Some(Value::Str(hex))) => {
@@ -85,7 +87,7 @@ pub fn register_advanced_fns(fns: &mut FnRegistry) {
                 .ok_or_else(|| Error::Eval(format!("`{hex}` is not a 40-char hex digest")))?;
             vids.push(Vid(d));
         }
-        Ok(Value::Str(advanced_rid(label, &vids, prev).to_hex()))
+        Ok(Value::str(advanced_rid(label, &vids, prev).to_hex()))
     });
 
     // Stage 1 state: the distributed htequi sets, keyed by the checking
@@ -248,14 +250,14 @@ mod tests {
             assert_eq!(native_row.vids, vids, "row {row}");
             // Chain reference.
             match (&args[args.len() - 2], &args[args.len() - 1]) {
-                (Value::Str(s1), Value::Str(s2)) if s1 == "null" && s2 == "null" => {
+                (Value::Str(s1), Value::Str(s2)) if &**s1 == "null" && &**s2 == "null" => {
                     assert_eq!(native_row.next, None);
                     assert_eq!(variant, "tail");
                 }
                 (Value::Addr(ploc), Value::Str(prid)) => {
                     let (nl, nr) = native_row.next.expect("mid rows chain");
                     assert_eq!(nl, *ploc);
-                    assert_eq!(nr.to_hex(), *prid);
+                    assert_eq!(nr.to_hex(), **prid);
                     assert_eq!(variant, "mid");
                 }
                 other => panic!("unexpected meta attrs {other:?}"),
@@ -363,14 +365,14 @@ mod tests {
                 .collect();
             assert_eq!(view.vids, vids, "row {row}");
             match (&args[args.len() - 2], &args[args.len() - 1]) {
-                (Value::Str(s1), Value::Str(s2)) if s1 == "null" && s2 == "null" => {
+                (Value::Str(s1), Value::Str(s2)) if &**s1 == "null" && &**s2 == "null" => {
                     assert_eq!(view.next, None);
                     assert_eq!(variant, "tail");
                 }
                 (Value::Addr(ploc), Value::Str(prid)) => {
                     let (nl, nr) = view.next.expect("mid rows chain");
                     assert_eq!(nl, *ploc);
-                    assert_eq!(nr.to_hex(), *prid);
+                    assert_eq!(nr.to_hex(), **prid);
                     assert_eq!(variant, "mid");
                 }
                 other => panic!("unexpected meta attrs {other:?}"),
@@ -417,7 +419,7 @@ mod tests {
         let t = forwarding::route(n(0), n(1), n(1));
         let mut args = vec![Value::str("route")];
         args.extend(t.args().iter().cloned());
-        assert_eq!(f(&args).unwrap(), Value::Str(t.vid().to_hex()));
+        assert_eq!(f(&args).unwrap(), Value::str(t.vid().to_hex()));
     }
 
     #[test]
@@ -427,8 +429,8 @@ mod tests {
         let f = fns.get("f_rid").unwrap().clone();
         let v1 = Vid::of_bytes(b"child");
         let native = exspan_rid("r1", n(0), &[v1]);
-        let got = f(&[Value::str("r1"), Value::Addr(n(0)), Value::Str(v1.to_hex())]).unwrap();
-        assert_eq!(got, Value::Str(native.to_hex()));
+        let got = f(&[Value::str("r1"), Value::Addr(n(0)), Value::str(v1.to_hex())]).unwrap();
+        assert_eq!(got, Value::str(native.to_hex()));
     }
 
     #[test]

@@ -266,7 +266,7 @@ impl Parser {
             Some(TokenKind::Int(_)) | Some(TokenKind::Str(_)) | Some(TokenKind::Bool(_)) => {
                 match self.bump().map(|t| t.kind) {
                     Some(TokenKind::Int(i)) => Ok(Value::Int(i)),
-                    Some(TokenKind::Str(s)) => Ok(Value::Str(s)),
+                    Some(TokenKind::Str(s)) => Ok(Value::str(s)),
                     Some(TokenKind::Bool(b)) => Ok(Value::Bool(b)),
                     _ => unreachable!("peeked a constant"),
                 }

@@ -58,7 +58,7 @@ fn call(name: &str, args: Vec<Expr>) -> Expr {
 }
 
 fn sconst(s: &str) -> Expr {
-    Expr::cnst(Value::Str(s.to_string()))
+    Expr::cnst(Value::str(s))
 }
 
 /// Fresh meta variable names that cannot collide with user variables

@@ -51,10 +51,10 @@ fn random_constant(rng: &mut SeededRng) -> Value {
         1 => {
             let alphabet = b"abcdefghijklmnopqrstuvwxyz0123456789 ";
             let len = rng.random_range(0..9u64) as usize;
-            Value::Str(
+            Value::str(
                 (0..len)
                     .map(|_| alphabet[rng.random_range(0..alphabet.len())] as char)
-                    .collect(),
+                    .collect::<String>(),
             )
         }
         _ => Value::Bool(rng.random_bool(0.5)),
