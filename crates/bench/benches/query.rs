@@ -1,5 +1,5 @@
 //! Micro-benchmarks: wall-clock cost of executing provenance queries
-//! (table walks plus reconstruction), per scheme.
+//! (the message-level protocol plus reconstruction), per scheme.
 //!
 //! Runs on the in-tree `dpc_bench::microbench` harness; enable with
 //! `--features microbench`.

@@ -1,10 +1,9 @@
 //! The packet-forwarding experiment runner (Figures 8-12).
 
-use dpc_common::NodeId;
-use dpc_common::{Rng, SeededRng};
+use dpc_common::{EvId, NodeId, Rng, SeededRng, Tuple};
 use dpc_core::{
     query_advanced, query_basic, query_exspan, AdvancedRecorder, BasicRecorder, ExspanRecorder,
-    QueryCtx,
+    QueryCtx, QueryResult,
 };
 use dpc_engine::{ProvRecorder, Runtime};
 use dpc_ndlog::{equivalence_keys, programs};
@@ -245,126 +244,58 @@ fn drive<R: ProvRecorder>(mut rt: Runtime<R>, cfg: &FwdConfig) -> (Runtime<R>, R
 
 /// Run the workload under `scheme`, then execute `queries` random
 /// provenance queries against random `recv` outputs and return their
-/// modeled latencies in milliseconds (Figure 12).
+/// message-level latencies in milliseconds (Figure 12).
 pub fn forwarding_query_latencies(scheme: Scheme, cfg: &FwdConfig, queries: usize) -> Vec<f64> {
-    let mut rng = SeededRng::seed_from_u64(cfg.seed ^ 0x51ab);
+    let keys = || equivalence_keys(&programs::packet_forwarding());
     match scheme {
         Scheme::Noop => panic!("the Noop scheme maintains no provenance to query"),
-        Scheme::Exspan => {
-            let (mut rt, _) = prepare(cfg, ExspanRecorder::new);
-            rt.run().expect("drain");
-            let outs = sample_outputs(&rt, queries, &mut rng);
-            let ctx = QueryCtx::from_runtime(&rt);
-            outs.iter()
-                .map(|(t, _)| {
-                    query_exspan(&ctx, rt.recorder(), t)
-                        .expect("stored output is queryable")
-                        .latency
-                        .as_millis_f64()
-                })
-                .collect()
-        }
-        Scheme::Basic => {
-            let (mut rt, _) = prepare(cfg, BasicRecorder::new);
-            rt.run().expect("drain");
-            let outs = sample_outputs(&rt, queries, &mut rng);
-            let ctx = QueryCtx::from_runtime(&rt);
-            outs.iter()
-                .map(|(t, _)| {
-                    query_basic(&ctx, rt.recorder(), t)
-                        .expect("stored output is queryable")
-                        .latency
-                        .as_millis_f64()
-                })
-                .collect()
-        }
-        Scheme::Advanced | Scheme::AdvancedInterClass => {
-            let keys = equivalence_keys(&programs::packet_forwarding());
-            let inter = scheme == Scheme::AdvancedInterClass;
-            let (mut rt, _) = prepare(cfg, move |n| {
-                if inter {
-                    AdvancedRecorder::with_inter_class(n, keys)
-                } else {
-                    AdvancedRecorder::new(n, keys)
-                }
-            });
-            rt.run().expect("drain");
-            let outs = sample_outputs(&rt, queries, &mut rng);
-            let ctx = QueryCtx::from_runtime(&rt);
-            outs.iter()
-                .map(|(t, evid)| {
-                    query_advanced(&ctx, rt.recorder(), t, evid)
-                        .expect("stored output is queryable")
-                        .latency
-                        .as_millis_f64()
-                })
-                .collect()
-        }
+        Scheme::Exspan => latencies(cfg, queries, ExspanRecorder::new, |c, r, t, _| {
+            query_exspan(c, r, t)
+        }),
+        Scheme::Basic => latencies(cfg, queries, BasicRecorder::new, |c, r, t, _| {
+            query_basic(c, r, t)
+        }),
+        Scheme::Advanced => latencies(
+            cfg,
+            queries,
+            |n| AdvancedRecorder::new(n, keys()),
+            query_advanced,
+        ),
+        Scheme::AdvancedInterClass => latencies(
+            cfg,
+            queries,
+            |n| AdvancedRecorder::with_inter_class(n, keys()),
+            query_advanced,
+        ),
     }
 }
 
-/// Run the workload under ExSPAN and Advanced, then execute `queries`
-/// random queries through the *simulated message* protocols
-/// (`dpc_core::distquery`) and return the mean latencies in ms:
-/// `(exspan, advanced)`. Used by fig12 to cross-check the analytic model.
-pub fn simulated_query_means(cfg: &FwdConfig, queries: usize) -> (f64, f64) {
-    use dpc_core::{simulate_query_advanced, simulate_query_exspan, QueryCostModel};
-    let mut rng = SeededRng::seed_from_u64(cfg.seed ^ 0xd15c);
-
-    let (mut rt_e, _) = prepare(cfg, ExspanRecorder::new);
-    rt_e.run().expect("drain");
-    let outs = sample_outputs(&rt_e, queries, &mut rng);
-    let exspan_mean = outs
-        .iter()
-        .map(|(t, _)| {
-            simulate_query_exspan(
-                rt_e.net(),
-                rt_e.recorder(),
-                &rt_e,
-                QueryCostModel::default(),
-                t,
-                None,
-            )
-            .expect("stored output is queryable")
-            .latency
-            .as_millis_f64()
-        })
-        .sum::<f64>()
-        / outs.len() as f64;
-
-    let keys = equivalence_keys(&programs::packet_forwarding());
-    let (mut rt_a, _) = prepare(cfg, move |n| AdvancedRecorder::new(n, keys));
-    rt_a.run().expect("drain");
-    let outs = sample_outputs(&rt_a, queries, &mut rng);
-    let adv_mean = outs
+fn latencies<R: ProvRecorder>(
+    cfg: &FwdConfig,
+    queries: usize,
+    make: impl FnOnce(usize) -> R,
+    query: impl Fn(&QueryCtx<'_>, &R, &Tuple, &EvId) -> dpc_common::Result<QueryResult>,
+) -> Vec<f64> {
+    let mut rng = SeededRng::seed_from_u64(cfg.seed ^ 0x51ab);
+    let (mut rt, _) = prepare(cfg, make);
+    rt.run().expect("drain");
+    let ctx = QueryCtx::from_runtime(&rt);
+    sample_outputs(&rt, queries, &mut rng)
         .iter()
         .map(|(t, evid)| {
-            simulate_query_advanced(
-                rt_a.net(),
-                rt_a.recorder(),
-                &rt_a,
-                rt_a.delp(),
-                rt_a.fns(),
-                QueryCostModel::default(),
-                t,
-                evid,
-                None,
-            )
-            .expect("stored output is queryable")
-            .latency
-            .as_millis_f64()
+            query(&ctx, rt.recorder(), t, evid)
+                .expect("stored output is queryable")
+                .latency
+                .as_millis_f64()
         })
-        .sum::<f64>()
-        / outs.len() as f64;
-
-    (exspan_mean, adv_mean)
+        .collect()
 }
 
 pub(crate) fn sample_outputs<R: ProvRecorder>(
     rt: &Runtime<R>,
     k: usize,
     rng: &mut SeededRng,
-) -> Vec<(dpc_common::Tuple, dpc_common::EvId)> {
+) -> Vec<(Tuple, EvId)> {
     let mut outs: Vec<_> = rt
         .outputs()
         .iter()

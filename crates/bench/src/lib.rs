@@ -22,9 +22,7 @@ use dpc_netsim::SimTime;
 use dpc_telemetry::TelemetryHandle;
 
 pub use dnsrun::{run_dns, DnsConfig, DnsRunOutput};
-pub use fwdrun::{
-    forwarding_query_latencies, run_forwarding, simulated_query_means, FwdConfig, FwdRunOutput,
-};
+pub use fwdrun::{forwarding_query_latencies, run_forwarding, FwdConfig, FwdRunOutput};
 pub use history::{BenchRecord, GateResult, History, Tolerance};
 pub use tracerun::{
     aggregate_breakdown, print_trace_report, query_summaries, run_traced_queries,

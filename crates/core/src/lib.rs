@@ -26,15 +26,15 @@
 //! execution — the oracle against which the correctness theorems
 //! (Theorem 3, Theorem 5) are tested.
 //!
-//! The [`query`] module implements the distributed recursive querying of
-//! Section 5.6 over the simulated network, including the latency cost
-//! model used for Figure 12, and [`reconstruct`] rebuilds full provenance
-//! trees (`TRANSFORM_TO_D`, Appendix E) by re-executing rules bottom-up.
+//! The [`query`] module runs the distributed recursive query of Section
+//! 5.6 (and ExSPAN's querier-driven variant) as messages on the simulated
+//! network — the latencies of Figure 12 — and [`reconstruct`] rebuilds
+//! full provenance trees (`TRANSFORM_TO_D`, Appendix E) by re-executing
+//! rules bottom-up.
 
 pub mod advanced;
 pub mod basic;
 pub mod crossprog;
-pub mod distquery;
 pub mod dump;
 pub mod exspan;
 pub mod query;
@@ -49,14 +49,11 @@ pub mod tree;
 pub use advanced::AdvancedRecorder;
 pub use basic::BasicRecorder;
 pub use crossprog::{CrossProgramRecorder, SharedNodeStore};
-pub use distquery::{
-    simulate_query_advanced, simulate_query_basic, simulate_query_exspan, QueryTrace,
-    SimulatedQuery,
-};
 pub use exspan::ExspanRecorder;
 pub use query::{
-    query_advanced, query_advanced_all, query_basic, query_exspan, AdvancedStore, QueryCostModel,
-    QueryCtx, QueryResult, TupleResolver,
+    query_advanced, query_advanced_all, query_basic, query_exspan, simulate_query_advanced,
+    simulate_query_exspan, AdvancedStore, QueryCostModel, QueryCtx, QueryResult, QueryTrace,
+    SimulatedQuery, TupleResolver,
 };
 pub use reference::GroundTruthRecorder;
 pub use replay::{ReplayLog, ReplayOp, ReplayableRuntime};

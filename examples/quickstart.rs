@@ -65,8 +65,8 @@ fn main() {
         let res = query_advanced(&ctx, rt.recorder(), &out.tuple, &out.evid)
             .expect("every stored output is queryable");
         println!(
-            "\nprovenance of {} (query latency {}, {} fetches):\n{}",
-            out.tuple, res.latency, res.fetches, res.tree
+            "\nprovenance of {} (query latency {}, {} messages):\n{}",
+            out.tuple, res.latency, res.messages, res.tree
         );
     }
 }

@@ -2,6 +2,7 @@
 //! branching executions (DHCP), ARP, and the paper's aggregate claims.
 
 use dpc::apps::{arp, dhcp};
+use dpc::core::{simulate_query_advanced, QueryCostModel};
 use dpc::netsim::topo;
 use dpc::prelude::*;
 use dpc::workload::random_pairs;
@@ -150,6 +151,20 @@ fn dhcp_branching_executions_are_queryable() {
             .tree_for(&out.tuple, &out.evid)
             .expect("ground truth recorded");
         assert_eq!(&got.tree, want, "output {}", out.tuple);
+        // The traced entry point runs the same protocol.
+        let sim = simulate_query_advanced(
+            rt.net(),
+            &rt.recorder().primary,
+            &rt,
+            rt.delp(),
+            rt.fns(),
+            QueryCostModel::default(),
+            &out.tuple,
+            &out.evid,
+            None,
+        )
+        .unwrap_or_else(|e| panic!("simulated query for {} failed: {e}", out.tuple));
+        assert_eq!(&sim.tree, want, "output {}", out.tuple);
     }
 }
 

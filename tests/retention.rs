@@ -12,9 +12,7 @@
 //! every delivered output's message-level query must still return the
 //! tree the execution built.
 
-use dpc::core::{
-    simulate_query_advanced, simulate_query_basic, simulate_query_exspan, QueryCostModel,
-};
+use dpc::core::{simulate_query_advanced, simulate_query_exspan, QueryCostModel};
 use dpc::netsim::{topo, Link};
 use dpc::prelude::*;
 use dpc_common::SeededRng;
@@ -227,15 +225,10 @@ fn check(w: &impl Workload, name: &str) {
     let label = format!("{name}/Basic");
     assert_retention(&rt, &inputs, &label);
     assert_queries(&rt, &label, |rt, out| {
-        simulate_query_basic(
-            rt.net(),
+        query_basic(
+            &QueryCtx::from_runtime(rt),
             &rt.recorder().primary,
-            rt,
-            rt.delp(),
-            rt.fns(),
-            cost,
             &out.tuple,
-            None,
         )
         .map(|q| q.tree)
     });
