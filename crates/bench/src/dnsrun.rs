@@ -33,10 +33,6 @@ pub struct DnsConfig {
     /// If set, send exactly this many requests, evenly spaced (Figure
     /// 14/15 style).
     pub total_requests: Option<usize>,
-    /// Evaluate rules through compiled plans (the default). `false` runs
-    /// the naive AST interpreter — the "before" baseline of
-    /// `BENCH_pr3.json`.
-    pub compiled_plans: bool,
 }
 
 impl Default for DnsConfig {
@@ -50,7 +46,6 @@ impl Default for DnsConfig {
             snapshot_every: SimTime::from_secs(1),
             zipf_exponent: 1.0,
             total_requests: None,
-            compiled_plans: true,
         }
     }
 }
@@ -78,10 +73,6 @@ pub struct DnsRunOutput {
     pub injected: usize,
     /// Requests that resolved (produced a `reply`).
     pub resolved: usize,
-    /// Wall-clock seconds spent processing events (the drive phase —
-    /// excludes topology generation, deployment and injection
-    /// scheduling).
-    pub processing_secs: f64,
 }
 
 /// Run the DNS workload under `scheme` via the [`Scheme::recorder`]
@@ -101,7 +92,6 @@ fn run_generic<R: ProvRecorder>(cfg: &DnsConfig, make: impl FnOnce(usize) -> R) 
     );
     let n = tree.net.node_count();
     let mut rt = dns::make_runtime(&tree, make(n));
-    rt.set_compiled_plans(cfg.compiled_plans);
     let telemetry = Telemetry::handle();
     telemetry.set_snapshot_every_nanos(cfg.snapshot_every.as_nanos());
     telemetry.set_timeseries(
@@ -131,9 +121,7 @@ fn run_generic<R: ProvRecorder>(cfg: &DnsConfig, make: impl FnOnce(usize) -> R) 
     // Drive to completion: storage-over-time comes from the sampler
     // (enabled on the snapshot cadence above) instead of a hand-rolled
     // stepping loop.
-    let t0 = std::time::Instant::now();
     rt.run().expect("drain");
-    let processing_secs = t0.elapsed().as_secs_f64();
     let duration = rt.now().max(cfg.duration);
 
     let per_node_storage: Vec<usize> = (0..n)
@@ -163,7 +151,6 @@ fn run_generic<R: ProvRecorder>(cfg: &DnsConfig, make: impl FnOnce(usize) -> R) 
         },
         injected: total,
         resolved: rt.outputs().len(),
-        processing_secs,
     }
 }
 

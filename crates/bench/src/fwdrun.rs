@@ -39,10 +39,6 @@ pub struct FwdConfig {
     /// Head-based span sampling: trace every `n`-th execution (0 = span
     /// tracing off, the default; 1 = trace everything).
     pub trace_sample: u64,
-    /// Evaluate rules through compiled plans (the default). `false` runs
-    /// the naive AST interpreter — the "before" baseline of
-    /// `BENCH_pr3.json`.
-    pub compiled_plans: bool,
     /// Transit-stub topology parameters (default: the paper's 100-node
     /// configuration). Larger topologies mean more destinations and thus
     /// bigger per-node `route` tables.
@@ -61,7 +57,6 @@ impl Default for FwdConfig {
             route_update_every: None,
             total_packets: None,
             trace_sample: 0,
-            compiled_plans: true,
             topo: topo::TransitStubParams::default(),
         }
     }
@@ -89,10 +84,6 @@ pub struct FwdRunOutput {
     pub m: RunMeasurements,
     /// Packets injected.
     pub injected: usize,
-    /// Wall-clock seconds spent processing events (the drive phase —
-    /// excludes topology generation, route installation and injection
-    /// scheduling).
-    pub processing_secs: f64,
 }
 
 fn payload_of(seq: u64, len: usize) -> String {
@@ -113,14 +104,9 @@ pub fn run_forwarding(scheme: Scheme, cfg: &FwdConfig) -> FwdRunOutput {
 
 fn run_generic<R: ProvRecorder>(cfg: &FwdConfig, make: impl FnOnce(usize) -> R) -> FwdRunOutput {
     let (rt, injected) = prepare(cfg, make);
-    let t0 = std::time::Instant::now();
-    let (rt, m) = drive(rt, cfg);
-    let processing_secs = t0.elapsed().as_secs_f64();
-    drop(rt);
     FwdRunOutput {
-        m,
+        m: drive(rt, cfg),
         injected,
-        processing_secs,
     }
 }
 
@@ -133,7 +119,6 @@ pub(crate) fn prepare<R: ProvRecorder>(
     let ts = topo::transit_stub(&mut rng, &cfg.topo);
     let n = ts.net.node_count();
     let mut rt = forwarding::make_runtime(ts.net, make(n));
-    rt.set_compiled_plans(cfg.compiled_plans);
     let telemetry = Telemetry::handle();
     telemetry.set_snapshot_every_nanos(cfg.snapshot_every.as_nanos());
     telemetry.set_timeseries(
@@ -210,7 +195,7 @@ pub(crate) fn prepare<R: ProvRecorder>(
 /// time-series sampler (enabled on the snapshot cadence in [`prepare`]),
 /// which samples inside the event loop at deterministic virtual
 /// timestamps — no hand-rolled stepping loop.
-fn drive<R: ProvRecorder>(mut rt: Runtime<R>, cfg: &FwdConfig) -> (Runtime<R>, RunMeasurements) {
+fn drive<R: ProvRecorder>(mut rt: Runtime<R>, cfg: &FwdConfig) -> RunMeasurements {
     let n = rt.net().node_count();
     rt.run().expect("drain");
     let duration = rt.now().max(cfg.duration);
@@ -226,7 +211,7 @@ fn drive<R: ProvRecorder>(mut rt: Runtime<R>, cfg: &FwdConfig) -> (Runtime<R>, R
         &telemetry,
         "recorder.storage_bytes#",
     ));
-    let m = RunMeasurements {
+    RunMeasurements {
         per_node_storage,
         snapshots,
         traffic_per_second: rt.stats().per_second_series(),
@@ -238,8 +223,7 @@ fn drive<R: ProvRecorder>(mut rt: Runtime<R>, cfg: &FwdConfig) -> (Runtime<R>, R
         index_misses: rt.metrics().index_misses,
         duration,
         telemetry,
-    };
-    (rt, m)
+    }
 }
 
 /// Run the workload under `scheme`, then execute `queries` random

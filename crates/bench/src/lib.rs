@@ -11,7 +11,6 @@
 
 pub mod dnsrun;
 pub mod fwdrun;
-pub mod history;
 #[cfg(feature = "microbench")]
 pub mod microbench;
 pub mod report;
@@ -23,7 +22,6 @@ use dpc_telemetry::TelemetryHandle;
 
 pub use dnsrun::{run_dns, DnsConfig, DnsRunOutput};
 pub use fwdrun::{forwarding_query_latencies, run_forwarding, FwdConfig, FwdRunOutput};
-pub use history::{BenchRecord, GateResult, History, Tolerance};
 pub use tracerun::{
     aggregate_breakdown, print_trace_report, query_summaries, run_traced_queries,
     span_histograms_json, trace_summary_json, QuerySummary, TraceRunOutput,
@@ -115,8 +113,7 @@ impl RunMeasurements {
         }
     }
 
-    /// Secondary-index join probe `(hits, misses)` over the run — nonzero
-    /// only when the engine evaluates through compiled rule plans.
+    /// Secondary-index join probe `(hits, misses)` over the run.
     pub fn index_hits_misses(&self) -> (u64, u64) {
         (self.index_hits, self.index_misses)
     }
@@ -128,7 +125,7 @@ impl RunMeasurements {
     }
 
     /// Secondary-index hit ratio in `[0, 1]`, or `None` when no probes
-    /// ran (e.g. the naive interpreter path).
+    /// ran.
     pub fn index_hit_ratio(&self) -> Option<f64> {
         let (h, m) = self.index_hits_misses();
         if h + m == 0 {

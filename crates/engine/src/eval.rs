@@ -5,6 +5,13 @@
 //! [`Firing`] carries the head tuple *and* the slow-changing tuples the
 //! join consumed, in body order — exactly the information the provenance
 //! recorders need.
+//!
+//! The runtime evaluates rules through compiled plans
+//! ([`RulePlan::eval`](crate::plan::RulePlan::eval)), never through this
+//! interpreter. [`eval_rule`] has two uses: it is the oracle that the plan
+//! tests and the `differential` integration test compare plans against,
+//! and it is the re-derivation step of `dpc_core::reconstruct`, which
+//! evaluates one rule against the recorded slow tuples only.
 
 use std::collections::HashMap;
 use std::sync::Arc;

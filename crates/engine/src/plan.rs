@@ -1,5 +1,6 @@
 //! Compiled rule plans: slot-mapped bindings and index-driven joins.
 //!
+//! [`RulePlan::eval`] is the runtime's only rule evaluator.
 //! [`eval_rule`](crate::eval::eval_rule) interprets a rule from its AST on
 //! every event: variables are looked up by string in a `HashMap` that is
 //! cloned once per *candidate* row, and every condition atom is joined by
@@ -22,7 +23,7 @@
 //! restricted to matching rows, and steps execute in source order with the
 //! same filter/bind semantics — so heads and slow-tuple lists come out
 //! byte-for-byte equal, in the same order (see the `differential`
-//! integration test).
+//! integration test, which keeps the interpreter as this module's oracle).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -159,8 +160,10 @@ impl SlotMap {
 }
 
 impl RulePlan {
-    /// Compile `rule`. Fails only for rules with no event atom (which the
-    /// interpreter rejects at evaluation time instead).
+    /// Compile `rule`. Fails for rules with no event atom and for rules
+    /// whose constraint or assignment reads a variable no earlier atom or
+    /// assignment binds (the analyzer's W0202); the interpreter rejects
+    /// both at evaluation time instead.
     pub fn compile(rule: &Rule) -> Result<RulePlan> {
         let event_atom = rule
             .event()
@@ -211,13 +214,13 @@ impl RulePlan {
                     left, op, right, ..
                 } => {
                     steps.push(PlanStep::Filter {
-                        left: compile_expr(left, &mut slots),
+                        left: compile_expr(rule, left, &mut slots)?,
                         op: *op,
-                        right: compile_expr(right, &mut slots),
+                        right: compile_expr(rule, right, &mut slots)?,
                     });
                 }
                 BodyItem::Assign { var, expr, .. } => {
-                    let compiled = compile_expr(expr, &mut slots);
+                    let compiled = compile_expr(rule, expr, &mut slots)?;
                     let s = slots.slot_of(var);
                     slots.bind(s);
                     steps.push(PlanStep::Assign {
@@ -778,20 +781,32 @@ fn compile_join(atom: &Atom, keyed: &[usize], slots: &mut SlotMap) -> Result<Joi
     })
 }
 
-fn compile_expr(expr: &Expr, slots: &mut SlotMap) -> PlanExpr {
-    match &expr.kind {
-        ExprKind::Var(v) => PlanExpr::Slot(slots.slot_of(v)),
+/// Compile `expr`, every variable of which must already be bound.
+fn compile_expr(rule: &Rule, expr: &Expr, slots: &mut SlotMap) -> Result<PlanExpr> {
+    Ok(match &expr.kind {
+        ExprKind::Var(v) => {
+            let s = slots.slot_of(v);
+            if !slots.is_bound(s) {
+                return Err(Error::Eval(format!(
+                    "rule `{}` reads `{v}` before any atom or assignment binds it",
+                    rule.label
+                )));
+            }
+            PlanExpr::Slot(s)
+        }
         ExprKind::Const(c) => PlanExpr::Const(c.clone()),
         ExprKind::BinOp(op, l, r) => PlanExpr::BinOp(
             *op,
-            Box::new(compile_expr(l, slots)),
-            Box::new(compile_expr(r, slots)),
+            Box::new(compile_expr(rule, l, slots)?),
+            Box::new(compile_expr(rule, r, slots)?),
         ),
         ExprKind::Call(name, args) => PlanExpr::Call(
             name.clone(),
-            args.iter().map(|a| compile_expr(a, slots)).collect(),
+            args.iter()
+                .map(|a| compile_expr(rule, a, slots))
+                .collect::<Result<_>>()?,
         ),
-    }
+    })
 }
 
 /// All rules of a DELP compiled once, grouped by triggering event relation
@@ -1035,6 +1050,23 @@ mod tests {
         let p = parse_program(src).unwrap();
         let plan = RulePlan::compile(p.rule("r1").unwrap()).unwrap();
         plan.audit().unwrap();
+    }
+
+    #[test]
+    fn compile_rejects_expressions_over_unbound_variables() {
+        // `Q` is never bound; `Y` is bound only by the join after the
+        // constraint. Both plans would fail their audit.
+        for src in [
+            "r1 out(@X, Y) :- e(@X, Z), Y := Q + 1.",
+            "r1 out(@X, Y) :- e(@X), Y > 1, s(@X, Y).",
+        ] {
+            let p = parse_program(src).unwrap();
+            let err = RulePlan::compile(&p.rules[0]).unwrap_err().to_string();
+            assert!(
+                err.contains("before any atom or assignment binds it"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

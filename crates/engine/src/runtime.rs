@@ -20,7 +20,7 @@ use dpc_netsim::{Network, Sim, SimTime, TrafficStats};
 use dpc_telemetry::{AttrValue, Counter, Gauge, PerNode, SpanContext, TelemetryHandle};
 
 use crate::db::Database;
-use crate::eval::{eval_rule, FnRegistry};
+use crate::eval::FnRegistry;
 use crate::plan::{EvalStats, PlanSet, RulePlan};
 use crate::recorder::{NoopRecorder, ProvMeta, ProvRecorder, Stage};
 
@@ -92,11 +92,6 @@ pub struct RuntimeConfig {
     /// Keep an [`OutputRecord`] per derived output. Disable for very
     /// large measurement runs; [`Runtime::outputs_count`] still counts.
     pub record_outputs: bool,
-    /// Evaluate rules through compiled [`RulePlan`]s (slot bindings +
-    /// secondary-index joins) instead of the naive AST interpreter. On by
-    /// default; the interpreter is kept for differential testing and as
-    /// the "before" baseline in benchmarks.
-    pub compiled_plans: bool,
 }
 
 impl Default for RuntimeConfig {
@@ -107,7 +102,6 @@ impl Default for RuntimeConfig {
             header_bytes: 28,
             retain_tuples: true,
             record_outputs: true,
-            compiled_plans: true,
         }
     }
 }
@@ -127,9 +121,9 @@ pub struct RunMetrics {
     pub total_traffic_bytes: u64,
     /// Total provenance storage across all nodes, bytes.
     pub total_storage_bytes: usize,
-    /// Join probes served by a secondary index (compiled plans only).
+    /// Join probes served by a secondary index.
     pub index_hits: u64,
-    /// Join probes that fell back to a table scan (compiled plans only).
+    /// Join probes that fell back to a table scan.
     pub index_misses: u64,
 }
 
@@ -268,7 +262,8 @@ impl<R: ProvRecorder> RuntimeBuilder<R> {
     /// rejects them), warnings are accepted and surfaced through the
     /// [`dpc_telemetry::counters::LINT_WARNINGS`] counter when a telemetry
     /// sink is attached. Every compiled [`RulePlan`] is audited against
-    /// the static join-key analysis before the runtime is returned.
+    /// the static join-key analysis before the runtime is returned; a rule
+    /// that does not compile (see [`RulePlan::compile`]) fails the build.
     pub fn build(self) -> Result<Runtime<R>> {
         let mode = if self.delp.is_strict() {
             AnalysisMode::Strict
@@ -286,8 +281,9 @@ impl<R: ProvRecorder> RuntimeBuilder<R> {
         }
         let lint_warnings = analysis.warnings().count() as u64;
 
-        let mut rt = Runtime::new(self.delp, self.net, self.recorder);
-        rt.plans.audit()?;
+        let plans = PlanSet::compile(&self.delp)?;
+        plans.audit()?;
+        let mut rt = Runtime::with_plans(self.delp, plans, self.net, self.recorder);
         rt.lint_warnings = lint_warnings;
         rt.config = self.config;
         rt.fns = self.fns;
@@ -346,9 +342,21 @@ impl Runtime<NoopRecorder> {
 
 impl<R: ProvRecorder> Runtime<R> {
     /// Deploy `delp` on `net` with the given provenance recorder.
+    ///
+    /// # Panics
+    ///
+    /// If a rule does not compile: it has no event atom, or a constraint
+    /// or assignment reads a variable that no earlier atom or assignment
+    /// binds. [`Runtime::builder`] returns these as an `Err` instead.
     pub fn new(delp: Delp, net: Network, recorder: R) -> Runtime<R> {
+        let plans = PlanSet::compile(&delp).expect(
+            "every rule has an event atom and binds each variable before an expression reads it",
+        );
+        Runtime::with_plans(delp, plans, net, recorder)
+    }
+
+    fn with_plans(delp: Delp, plans: PlanSet, net: Network, recorder: R) -> Runtime<R> {
         let n = net.node_count();
-        let plans = PlanSet::compile(&delp).expect("validated DELP: every rule has an event atom");
         Runtime {
             delp,
             plans,
@@ -429,13 +437,6 @@ impl<R: ProvRecorder> Runtime<R> {
     /// The attached telemetry sink, if any.
     pub fn telemetry(&self) -> Option<&TelemetryHandle> {
         self.telemetry.as_ref()
-    }
-
-    /// Toggle compiled-plan evaluation after construction (see
-    /// [`RuntimeConfig::compiled_plans`]). Benchmarks use this to compare
-    /// the interpreter against the compiled path on identical workloads.
-    pub fn set_compiled_plans(&mut self, on: bool) {
-        self.config.compiled_plans = on;
     }
 
     /// Headline counters of the run so far, aggregated across nodes:
@@ -832,23 +833,17 @@ impl<R: ProvRecorder> Runtime<R> {
             if let Some(m) = &self.handles {
                 m.joins_attempted.at(node.0).add(1);
             }
-            let firings = if self.config.compiled_plans {
-                let mut stats = EvalStats::default();
-                let firings =
-                    plan.eval(&tuple, &mut self.dbs[node.index()], &self.fns, &mut stats)?;
-                self.eval_stats.merge(stats);
-                if let Some(m) = &self.handles {
-                    if stats.index_hits > 0 {
-                        m.index_hits.at(node.0).add(stats.index_hits);
-                    }
-                    if stats.index_misses > 0 {
-                        m.index_misses.at(node.0).add(stats.index_misses);
-                    }
+            let mut stats = EvalStats::default();
+            let firings = plan.eval(&tuple, &mut self.dbs[node.index()], &self.fns, &mut stats)?;
+            self.eval_stats.merge(stats);
+            if let Some(m) = &self.handles {
+                if stats.index_hits > 0 {
+                    m.index_hits.at(node.0).add(stats.index_hits);
                 }
-                firings
-            } else {
-                eval_rule(rule, &tuple, &self.dbs[node.index()], &self.fns)?
-            };
+                if stats.index_misses > 0 {
+                    m.index_misses.at(node.0).add(stats.index_misses);
+                }
+            }
             for firing in firings {
                 self.rules_fired += 1;
                 self.metrics[node.index()].rules_fired += 1;
@@ -1246,7 +1241,30 @@ mod tests {
     }
 
     #[test]
-    fn builder_audits_compiled_plans() {
+    fn builder_rejects_rules_that_read_unbound_variables() {
+        // `Q` is never bound (the analyzer's W0202, a warning); `Y` is
+        // bound only by the join after the constraint, which the analyzer
+        // does not flag. Both must fail the build, not panic.
+        for src in [
+            "r1 out(@X, Y) :- e(@X, Z), Y := Q + 1.",
+            "r1 out(@X, Y) :- e(@X), Y > 1, s(@X, Y).",
+        ] {
+            let p = dpc_ndlog::parse_program(src).unwrap();
+            let delp = Delp::new_relaxed(p).unwrap();
+            let err = Runtime::builder(delp, topo::line(2, Link::STUB_STUB))
+                .build()
+                .err()
+                .expect("build must fail");
+            assert!(
+                err.to_string()
+                    .contains("before any atom or assignment binds it"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn builder_audits_every_plan() {
         // A successful build implies every plan passed the audit; make
         // sure the audit also runs standalone over the built plans.
         let rt = Runtime::builder(programs::dns_resolution(), topo::line(2, Link::STUB_STUB))

@@ -1,14 +1,12 @@
-//! A minimal hand-rolled JSON value type, serializer and parser.
+//! A minimal hand-rolled JSON value type and serializer.
 //!
 //! The workspace builds offline with zero external dependencies, so the
 //! machine-readable benchmark output (`fig* --json`) serializes through
 //! this module instead of serde. Only what the telemetry snapshots need:
 //! objects, arrays, strings (with full escaping), integers, floats and
 //! booleans. Object keys keep insertion order — callers insert in sorted
-//! order when determinism matters (the snapshot code does). The parser
-//! ([`Json::parse`]) exists so tools can read back their own artifacts
-//! (e.g. the `bench-history` regression gate re-reading
-//! `BENCH_history.json`); it accepts standard JSON, nothing more.
+//! order when determinism matters (the snapshot code does). Nothing in
+//! the workspace reads JSON back, so there is no parser.
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -90,240 +88,6 @@ impl Json {
     }
 }
 
-impl Json {
-    /// Parse a JSON document. Numbers with a fraction, exponent or minus
-    /// sign that overflows parse as [`Json::Float`]; other integers as
-    /// [`Json::UInt`] / [`Json::Int`]. Trailing non-whitespace is an
-    /// error.
-    pub fn parse(src: &str) -> Result<Json, String> {
-        let bytes = src.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing input at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    /// Object member lookup (first match); `None` on non-objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as an `f64` (integers convert; everything else is `None`).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Int(i) => Some(*i as f64),
-            Json::UInt(u) => Some(*u as f64),
-            Json::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
-
-    /// The value as a `u64` (non-negative integers only).
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Int(i) => u64::try_from(*i).ok(),
-            Json::UInt(u) => Some(*u),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("expected `{lit}` at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
-        Some(b't') => expect(b, pos, "true").map(|()| Json::Bool(true)),
-        Some(b'f') => expect(b, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                expect(b, pos, ":")?;
-                pairs.push((key, parse_value(b, pos)?));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(_) => parse_number(b, pos),
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}", pos = *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                let esc = *b.get(*pos).ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\x08'),
-                    b'f' => out.push('\x0c'),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let cp = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        *pos += 4;
-                        // Surrogate pairs are not needed by our own output
-                        // (we only \u-escape control characters); reject
-                        // rather than mis-decode.
-                        let c = char::from_u32(cp)
-                            .ok_or_else(|| format!("unsupported \\u{hex} escape"))?;
-                        out.push(c);
-                    }
-                    other => return Err(format!("bad escape `\\{}`", other as char)),
-                }
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so slicing at
-                // the next char boundary is safe).
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid UTF-8".to_string())?;
-                let c = s.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-        *pos += 1;
-    }
-    let mut float = false;
-    if b.get(*pos) == Some(&b'.') {
-        float = true;
-        *pos += 1;
-        while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-            *pos += 1;
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e') | Some(b'E')) {
-        float = true;
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+') | Some(b'-')) {
-            *pos += 1;
-        }
-        while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-            *pos += 1;
-        }
-    }
-    let text = std::str::from_utf8(&b[start..*pos]).expect("ASCII number");
-    if text.is_empty() || text == "-" {
-        return Err(format!("expected number at byte {start}"));
-    }
-    if float {
-        text.parse::<f64>()
-            .map(Json::Float)
-            .map_err(|e| e.to_string())
-    } else if let Ok(u) = text.parse::<u64>() {
-        Ok(Json::UInt(u))
-    } else if let Ok(i) = text.parse::<i64>() {
-        Ok(Json::Int(i))
-    } else {
-        text.parse::<f64>()
-            .map(Json::Float)
-            .map_err(|e| e.to_string())
-    }
-}
-
 impl fmt::Display for Json {
     /// Serialize to a compact single-line string.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -384,62 +148,5 @@ mod tests {
             ("b", Json::obj([("c", Json::Null)])),
         ]);
         assert_eq!(v.to_string(), r#"{"a":[1,2],"b":{"c":null}}"#);
-    }
-
-    #[test]
-    fn parse_round_trips_own_output() {
-        let v = Json::obj([
-            ("name", Json::Str("a \"b\"\n\\c".into())),
-            ("neg", Json::Int(-42)),
-            ("big", Json::UInt(u64::MAX)),
-            ("pi", Json::Float(3.5)),
-            ("flag", Json::Bool(false)),
-            ("nothing", Json::Null),
-            (
-                "arr",
-                Json::Arr(vec![
-                    Json::UInt(1),
-                    Json::Float(0.25),
-                    Json::Str("x".into()),
-                ]),
-            ),
-            ("obj", Json::obj([("k", Json::UInt(7))])),
-        ]);
-        let text = v.to_string();
-        let back = Json::parse(&text).unwrap();
-        assert_eq!(back, v);
-        assert_eq!(back.to_string(), text);
-    }
-
-    #[test]
-    fn parse_accepts_whitespace_and_exponents() {
-        let v = Json::parse(" { \"a\" : [ 1e3 , -2.5E-1 , 10 ] } \n").unwrap();
-        let arr = v.get("a").unwrap().as_arr().unwrap();
-        assert_eq!(arr[0], Json::Float(1000.0));
-        assert_eq!(arr[1], Json::Float(-0.25));
-        assert_eq!(arr[2], Json::UInt(10));
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(Json::parse("").is_err());
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("{\"a\":1} trailing").is_err());
-        assert!(Json::parse("\"unterminated").is_err());
-        assert!(Json::parse("nul").is_err());
-        assert!(Json::parse("-").is_err());
-    }
-
-    #[test]
-    fn accessors() {
-        let v = Json::parse(r#"{"n":3,"f":1.5,"s":"x","a":[1]}"#).unwrap();
-        assert_eq!(v.get("n").unwrap().as_u64(), Some(3));
-        assert_eq!(v.get("n").unwrap().as_f64(), Some(3.0));
-        assert_eq!(v.get("f").unwrap().as_f64(), Some(1.5));
-        assert_eq!(v.get("s").unwrap().as_str(), Some("x"));
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 1);
-        assert!(v.get("missing").is_none());
-        assert!(Json::Null.get("x").is_none());
     }
 }
