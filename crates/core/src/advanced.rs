@@ -16,6 +16,13 @@
 //! of every class to re-materialize its tree against the updated
 //! slow-changing state.
 //!
+//! The three stages are the same whatever layout holds the rule
+//! executions: a chained `ruleExec` table per node
+//! ([`AdvancedRecorder::new`]), or the Section 5.4 split in a
+//! [`SharedNodeStore`] that is private to the recorder
+//! ([`AdvancedRecorder::with_inter_class`]) or shared with other programs'
+//! recorders ([`AdvancedRecorder::sharing`], Section 8).
+//!
 //! Rule-execution ids are chained — `rid = sha1(rule, slow vids, prev rid)`
 //! — so `(RLoc, RID)` uniquely determines a row (the uniqueness property
 //! Lemma 6 relies on) even when the same rule joins the same slow tuples at
@@ -31,7 +38,7 @@ use dpc_ndlog::{EquivKeys, Rule};
 use dpc_telemetry::{Counter, Gauge, PerNode, TelemetryHandle};
 
 use crate::storage::{
-    InterClassTables, ProvRowAdv, ProvTableAdv, RuleExecRow, RuleExecTable, RuleExecView,
+    ProvRowAdv, ProvTableAdv, RuleExecRow, RuleExecTable, RuleExecView, SharedNodeStore,
     TableGauges,
 };
 
@@ -66,7 +73,7 @@ pub fn node_rid(rule: &str, slow_vids: &[Vid]) -> Rid {
 }
 
 /// Per-node Advanced state.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Node {
     /// Stage 1: equivalence-key values seen at this (input) node.
     htequi: HashSet<EqKeyHash>,
@@ -79,10 +86,16 @@ struct Node {
     /// to the post-update tree.
     hmap: HashMap<EqKeyHash, (EvId, Vec<(NodeId, Rid)>)>,
     prov: ProvTableAdv,
-    /// Plain layout (Section 5.3).
-    rule_exec: RuleExecTable,
-    /// Split layout (Section 5.4), used when `inter_class` is on.
-    inter: InterClassTables,
+}
+
+/// Where the rule executions live.
+#[derive(Debug)]
+enum RuleExecs {
+    /// Section 5.3: one chained `ruleExec` table per node.
+    Plain(Vec<RuleExecTable>),
+    /// Section 5.4: the `ruleExecNode`/`ruleExecLink` split, private to
+    /// this recorder or shared with other programs' recorders (Section 8).
+    Split(SharedNodeStore),
 }
 
 /// Advanced's metric handles, registered once in
@@ -102,7 +115,7 @@ struct AdvancedMetrics {
 pub struct AdvancedRecorder {
     keys: EquivKeys,
     nodes: Vec<Node>,
-    inter_class: bool,
+    rule_execs: RuleExecs,
     hmap_misses: u64,
     metrics: Option<AdvancedMetrics>,
 }
@@ -111,28 +124,35 @@ impl AdvancedRecorder {
     /// Create a recorder for `n` nodes using the given equivalence keys
     /// (from static analysis) and the intra-class layout of Section 5.3.
     pub fn new(n: usize, keys: EquivKeys) -> AdvancedRecorder {
-        Self::with_mode(n, keys, false)
+        Self::with_layout(n, keys, RuleExecs::Plain(vec![RuleExecTable::new(true); n]))
     }
 
     /// As [`AdvancedRecorder::new`] but with the Section 5.4
     /// `ruleExecNode`/`ruleExecLink` split enabled.
     pub fn with_inter_class(n: usize, keys: EquivKeys) -> AdvancedRecorder {
-        Self::with_mode(n, keys, true)
+        Self::sharing(keys, SharedNodeStore::new(n))
     }
 
-    fn with_mode(n: usize, keys: EquivKeys, inter_class: bool) -> AdvancedRecorder {
+    /// A recorder for one program whose split tables live in `store`,
+    /// shared with the recorders of other programs on the same network —
+    /// cross-program compression, the paper's Section 8 future work. When
+    /// two programs contain the same rule, their executions over the same
+    /// slow-changing state need only one concrete node; each program keeps
+    /// its own `htequi`, `hmap` and `prov` table.
+    ///
+    /// Rule labels must be unique across the program set *except* for
+    /// genuinely shared rules (same head, same body): the concrete-node id
+    /// hashes the label and the joined slow tuples, so a label collision
+    /// between different rules would alias their provenance.
+    pub fn sharing(keys: EquivKeys, store: SharedNodeStore) -> AdvancedRecorder {
+        Self::with_layout(store.node_count(), keys, RuleExecs::Split(store))
+    }
+
+    fn with_layout(n: usize, keys: EquivKeys, rule_execs: RuleExecs) -> AdvancedRecorder {
         AdvancedRecorder {
             keys,
-            nodes: (0..n)
-                .map(|_| Node {
-                    htequi: HashSet::new(),
-                    hmap: HashMap::new(),
-                    prov: ProvTableAdv::default(),
-                    rule_exec: RuleExecTable::new(true),
-                    inter: InterClassTables::default(),
-                })
-                .collect(),
-            inter_class,
+            nodes: (0..n).map(|_| Node::default()).collect(),
+            rule_execs,
             hmap_misses: 0,
             metrics: None,
         }
@@ -148,16 +168,6 @@ impl AdvancedRecorder {
         m.hmap_entries.at(node.0).set(n.hmap.len() as i64);
     }
 
-    /// The equivalence keys in use.
-    pub fn keys(&self) -> &EquivKeys {
-        &self.keys
-    }
-
-    /// Is the Section 5.4 split layout active?
-    pub fn inter_class(&self) -> bool {
-        self.inter_class
-    }
-
     /// Times an `existFlag = true` execution found no `hmap` entry at its
     /// output node (out-of-order arrival; Section 5.6 assumes all updates
     /// are processed before querying, and FIFO links keep this at zero).
@@ -167,64 +177,38 @@ impl AdvancedRecorder {
 
     /// The Advanced `prov` row for one output tuple and execution, when
     /// the execution stored a single derivation (the common case).
-    pub fn prov_row<'a>(
-        &'a self,
-        loc: NodeId,
-        vid: &'a Vid,
-        evid: &'a EvId,
-    ) -> Option<&'a ProvRowAdv> {
+    pub fn prov_row(&self, loc: NodeId, vid: &Vid, evid: &EvId) -> Option<&ProvRowAdv> {
         self.nodes.get(loc.index())?.prov.get(vid, evid)
     }
 
-    /// All `prov` rows for one output tuple and execution — `GET_PROV` of
-    /// Appendix E (several rows when the execution had several
-    /// derivations).
-    pub fn prov_rows<'a>(
-        &'a self,
-        loc: NodeId,
-        vid: &'a Vid,
-        evid: &'a dpc_common::EvId,
-    ) -> impl Iterator<Item = &'a ProvRowAdv> {
+    /// All `prov` rows for one output tuple and execution, in insertion
+    /// order — `GET_PROV` of Appendix E (several rows when the execution
+    /// had several derivations).
+    pub fn prov_rows(&self, loc: NodeId, vid: &Vid, evid: &EvId) -> &[ProvRowAdv] {
         self.nodes
             .get(loc.index())
-            .into_iter()
-            .flat_map(move |n| n.prov.get_all(vid, evid))
-    }
-
-    /// All `prov` rows for an output tuple vid at `loc`.
-    pub fn prov_rows_for_vid<'a>(
-        &'a self,
-        loc: NodeId,
-        vid: &'a Vid,
-    ) -> impl Iterator<Item = &'a ProvRowAdv> {
-        self.nodes
-            .get(loc.index())
-            .into_iter()
-            .flat_map(move |n| n.prov.rows_for_vid(vid))
+            .map_or(&[], |n| n.prov.get_all(vid, evid))
     }
 
     /// Resolve a rule-execution provenance node, uniform across layouts.
     pub fn rule_exec(&self, loc: NodeId, rid: &Rid) -> Option<RuleExecView> {
-        let node = self.nodes.get(loc.index())?;
-        if self.inter_class {
-            node.inter.get(rid)
-        } else {
-            node.rule_exec.get(rid).map(|r| RuleExecView {
+        match &self.rule_execs {
+            RuleExecs::Plain(tables) => tables.get(loc.index())?.get(rid).map(|r| RuleExecView {
                 rule: r.rule.clone(),
                 vids: r.vids.clone(),
                 next: r.next,
-            })
+            }),
+            RuleExecs::Split(store) => store.get(loc, rid),
         }
     }
 
     /// Row counts at `node`: `(prov, ruleExec-or-link rows)`.
     pub fn row_counts(&self, node: NodeId) -> (usize, usize) {
-        let n = &self.nodes[node.index()];
-        if self.inter_class {
-            (n.prov.len(), n.inter.link_rows())
-        } else {
-            (n.prov.len(), n.rule_exec.len())
-        }
+        let rule_execs = match &self.rule_execs {
+            RuleExecs::Plain(tables) => tables[node.index()].len(),
+            RuleExecs::Split(store) => store.link_rows(node),
+        };
+        (self.nodes[node.index()].prov.len(), rule_execs)
     }
 
     /// Snapshot of the `prov` rows at `node` (unordered).
@@ -235,12 +219,26 @@ impl AdvancedRecorder {
     /// Snapshot of the `ruleExec` rows at `node` (plain layout; empty when
     /// the inter-class split is active — use the counts instead).
     pub fn rule_exec_rows_at(&self, node: NodeId) -> Vec<RuleExecRow> {
-        self.nodes[node.index()].rule_exec.iter().cloned().collect()
+        match &self.rule_execs {
+            RuleExecs::Plain(tables) => tables[node.index()].iter().cloned().collect(),
+            RuleExecs::Split(_) => Vec::new(),
+        }
     }
 
     /// Concrete shared node rows at `node` (split layout only).
     pub fn node_row_count(&self, node: NodeId) -> usize {
-        self.nodes[node.index()].inter.node_rows()
+        match &self.rule_execs {
+            RuleExecs::Plain(_) => 0,
+            RuleExecs::Split(store) => store.node_rows(node),
+        }
+    }
+
+    /// This recorder's own `prov`-table bytes at `node`. For combined
+    /// storage across programs sharing a [`SharedNodeStore`], add one
+    /// [`SharedNodeStore::storage_at`] to every program's `prov_storage_at`
+    /// ([`ProvRecorder::storage_at`] includes the whole shared store).
+    pub fn prov_storage_at(&self, node: NodeId) -> usize {
+        self.nodes[node.index()].prov.bytes()
     }
 
     /// Total storage across all nodes.
@@ -308,21 +306,22 @@ impl ProvRecorder for AdvancedRecorder {
             rloc: node,
             rid,
             rule: rule.label.clone(),
-            vids: slow_vids.clone(),
+            vids: slow_vids,
             next: meta.prev,
         };
-        if self.inter_class {
-            let nrid = node_rid(&rule.label, &slow_vids);
-            let saved = self.nodes[node.index()]
-                .inter
-                .insert(nrid, row, rid, meta.prev);
-            if saved > 0 {
-                if let Some(m) = &self.metrics {
-                    m.interclass_saved_bytes.at(node.0).add(saved as u64);
+        match &mut self.rule_execs {
+            RuleExecs::Plain(tables) => {
+                tables[node.index()].insert(row);
+            }
+            RuleExecs::Split(store) => {
+                let nrid = node_rid(&row.rule, &row.vids);
+                let saved = store.insert(node, nrid, row, rid, meta.prev);
+                if saved > 0 {
+                    if let Some(m) = &self.metrics {
+                        m.interclass_saved_bytes.at(node.0).add(saved as u64);
+                    }
                 }
             }
-        } else {
-            self.nodes[node.index()].rule_exec.insert(row);
         }
         self.report_tables(node);
         out.prev = Some((node, rid));
@@ -383,13 +382,11 @@ impl ProvRecorder for AdvancedRecorder {
     }
 
     fn storage_at(&self, node: NodeId) -> usize {
-        let n = &self.nodes[node.index()];
-        let re = if self.inter_class {
-            n.inter.bytes()
-        } else {
-            n.rule_exec.bytes()
+        let rule_execs = match &self.rule_execs {
+            RuleExecs::Plain(tables) => tables[node.index()].bytes(),
+            RuleExecs::Split(store) => store.storage_at(node),
         };
-        n.prov.bytes() + re
+        self.prov_storage_at(node) + rule_execs
     }
 
     fn attach_telemetry(&mut self, telemetry: TelemetryHandle) {
@@ -415,10 +412,14 @@ impl ProvRecorder for AdvancedRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpc_common::Value;
-    use dpc_engine::Runtime;
-    use dpc_ndlog::{equivalence_keys, programs};
+    use crate::query::{query_advanced, QueryCtx};
+    use crate::reference::GroundTruthRecorder;
+    use dpc_apps::forwarding;
+    use dpc_common::{Rng, SeededRng, Value};
+    use dpc_engine::{Runtime, TeeRecorder};
+    use dpc_ndlog::{equivalence_keys, parse_program, programs, Delp};
     use dpc_netsim::{topo, Link};
+    use dpc_telemetry::Telemetry;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -637,5 +638,235 @@ mod tests {
         rt.run().unwrap();
         assert!(rt.recorder().aux_storage_at(n(0)) > 0); // htequi entry
         assert!(rt.recorder().aux_storage_at(n(2)) > 0); // hmap entry
+    }
+
+    /// A second program sharing the forwarding rule `r1` but logging
+    /// instead of receiving.
+    const MIRROR: &str = r#"
+        r1 packet(@N, S, D, DT) :- packet(@L, S, D, DT), route(@L, D, N).
+        r9 logged(@L, S, D, DT) :- packet(@L, S, D, DT), D == L.
+    "#;
+
+    fn mirror() -> Delp {
+        Delp::new(parse_program(MIRROR).unwrap()).unwrap()
+    }
+
+    /// `delp` on a 4-node line with routes to n3.
+    fn line_to_n3<R: ProvRecorder>(delp: Delp, rec: R) -> Runtime<R> {
+        let net = topo::line(4, Link::STUB_STUB);
+        let mut rt = Runtime::new(delp, net, rec);
+        for i in 0..3u32 {
+            rt.install(route(i, 3, i + 1)).unwrap();
+        }
+        rt
+    }
+
+    #[test]
+    fn shared_rules_dedupe_across_programs() {
+        let store = SharedNodeStore::new(4);
+        let keys_b = equivalence_keys(&mirror());
+        let mut rt_a = line_to_n3(
+            programs::packet_forwarding(),
+            AdvancedRecorder::sharing(fwd_keys(), store.clone()),
+        );
+        let mut rt_b = line_to_n3(mirror(), AdvancedRecorder::sharing(keys_b, store.clone()));
+
+        rt_a.inject(packet(0, 0, 3, "a")).unwrap();
+        rt_a.run().unwrap();
+        let after_a = store.total_storage();
+        let nodes_after_a: usize = (0..4).map(|i| store.node_rows(n(i))).sum();
+
+        rt_b.inject(packet(0, 0, 3, "b")).unwrap();
+        rt_b.run().unwrap();
+        let after_b = store.total_storage();
+        let nodes_after_b: usize = (0..4).map(|i| store.node_rows(n(i))).sum();
+
+        // Program B added its chain links, but the three r1 concrete nodes
+        // were already there: only r9's node is new.
+        assert_eq!(nodes_after_b, nodes_after_a + 1);
+        // The growth is link rows + one node row, well under a full tree.
+        assert!(
+            after_b - after_a < after_a,
+            "store grew {after_a} -> {after_b}"
+        );
+    }
+
+    #[test]
+    fn cross_program_outputs_remain_queryable() {
+        let store = SharedNodeStore::new(4);
+        let keys_b = equivalence_keys(&mirror());
+        let mut rt_a = line_to_n3(
+            programs::packet_forwarding(),
+            TeeRecorder::new(
+                AdvancedRecorder::sharing(fwd_keys(), store.clone()),
+                GroundTruthRecorder::new(),
+            ),
+        );
+        let mut rt_b = line_to_n3(
+            mirror(),
+            TeeRecorder::new(
+                AdvancedRecorder::sharing(keys_b, store),
+                GroundTruthRecorder::new(),
+            ),
+        );
+        rt_a.inject(packet(0, 0, 3, "a")).unwrap();
+        rt_a.run().unwrap();
+        rt_b.inject(packet(1, 1, 3, "b")).unwrap();
+        rt_b.run().unwrap();
+
+        for rt in [&rt_a, &rt_b] {
+            let ctx = QueryCtx::from_runtime(rt);
+            for out in rt.outputs() {
+                let got =
+                    query_advanced(&ctx, &rt.recorder().primary, &out.tuple, &out.evid).unwrap();
+                let want = rt
+                    .recorder()
+                    .shadow
+                    .tree_for(&out.tuple, &out.evid)
+                    .unwrap();
+                assert_eq!(&got.tree, want);
+            }
+        }
+    }
+
+    #[test]
+    fn combined_storage_beats_independent_recorders() {
+        // Two programs sharing r1: one shared store vs two independent
+        // inter-class recorders.
+        let keys_b = equivalence_keys(&mirror());
+        let mut ind_a = line_to_n3(
+            programs::packet_forwarding(),
+            AdvancedRecorder::with_inter_class(4, fwd_keys()),
+        );
+        let mut ind_b = line_to_n3(
+            mirror(),
+            AdvancedRecorder::with_inter_class(4, keys_b.clone()),
+        );
+        let store = SharedNodeStore::new(4);
+        let mut sh_a = line_to_n3(
+            programs::packet_forwarding(),
+            AdvancedRecorder::sharing(fwd_keys(), store.clone()),
+        );
+        let mut sh_b = line_to_n3(mirror(), AdvancedRecorder::sharing(keys_b, store.clone()));
+
+        for s in 0..3u32 {
+            let p = packet(s, s, 3, "x");
+            for rt in [&mut ind_a, &mut ind_b, &mut sh_a, &mut sh_b] {
+                rt.inject(p.clone()).unwrap();
+                rt.run().unwrap();
+            }
+        }
+
+        let independent: usize = (0..4)
+            .map(|i| ind_a.recorder().storage_at(n(i)) + ind_b.recorder().storage_at(n(i)))
+            .sum();
+        let shared: usize = store.total_storage()
+            + (0..4)
+                .map(|i| {
+                    sh_a.recorder().prov_storage_at(n(i)) + sh_b.recorder().prov_storage_at(n(i))
+                })
+                .sum::<usize>();
+        assert!(
+            shared < independent,
+            "shared {shared} should undercut independent {independent}"
+        );
+
+        // The exact figures of the layout this recorder replaced.
+        assert_eq!(ind_a.recorder().total_storage(), 769);
+        assert_eq!(ind_b.recorder().total_storage(), 769);
+        assert_eq!(store.total_storage(), 746);
+        let per_node = |f: &dyn Fn(NodeId) -> usize| (0..4).map(|i| f(n(i))).collect::<Vec<_>>();
+        assert_eq!(per_node(&|i| store.storage_at(i)), [79, 128, 177, 362]);
+        assert_eq!(per_node(&|i| store.node_rows(i)), [1, 1, 1, 2]);
+        assert_eq!(per_node(&|i| store.link_rows(i)), [1, 2, 3, 6]);
+        for rt in [&sh_a, &sh_b] {
+            let rec = rt.recorder();
+            assert_eq!(per_node(&|i| rec.prov_storage_at(i)), [0, 0, 0, 204]);
+            assert_eq!(rec.hmap_misses(), 0);
+        }
+    }
+
+    #[test]
+    fn store_handles_share_state() {
+        let store = SharedNodeStore::new(2);
+        let handle = store.clone();
+        store.insert(
+            n(0),
+            Rid::of_bytes(b"node"),
+            RuleExecRow {
+                rloc: n(0),
+                rid: Rid::of_bytes(b"chain"),
+                rule: "r1".into(),
+                vids: vec![],
+                next: None,
+            },
+            Rid::of_bytes(b"chain"),
+            None,
+        );
+        assert_eq!(handle.node_rows(n(0)), 1);
+        assert!(handle.get(n(0), &Rid::of_bytes(b"chain")).is_some());
+        assert!(handle.get(n(1), &Rid::of_bytes(b"chain")).is_none());
+        assert_eq!(store.total_storage(), handle.total_storage());
+    }
+
+    /// A private split store and a shared one holding a single program
+    /// store and answer exactly alike, and the shared one reports its
+    /// equivalence-key checks through telemetry.
+    #[test]
+    fn shared_store_matches_private_split_layout() {
+        let mut rng = SeededRng::seed_from_u64(11);
+        let ts = topo::transit_stub(&mut rng, &topo::TransitStubParams::default());
+        let nodes = ts.net.node_count();
+        let pick = |rng: &mut SeededRng| ts.stub[rng.random_range(0..ts.stub.len())];
+        let pairs: Vec<(NodeId, NodeId)> = (0..8)
+            .map(|_| (pick(&mut rng), pick(&mut rng)))
+            .filter(|(s, d)| s != d)
+            .collect();
+        let packets: Vec<Tuple> = (0..40)
+            .map(|i| {
+                let (s, d) = pairs[rng.random_range(0..pairs.len())];
+                forwarding::packet(s, s, d, format!("p{i}"))
+            })
+            .collect();
+        let telemetry = Telemetry::handle();
+        let run = |rec: AdvancedRecorder, telemetry: Option<&TelemetryHandle>| {
+            let mut builder = forwarding::runtime_builder(ts.net.clone()).recorder(rec);
+            if let Some(t) = telemetry {
+                builder = builder.telemetry(t.clone());
+            }
+            let mut rt = builder.build().unwrap();
+            forwarding::install_routes_for_pairs(&mut rt, &pairs).unwrap();
+            for p in &packets {
+                rt.inject(p.clone()).unwrap();
+            }
+            rt.run().unwrap();
+            rt
+        };
+        let private = run(AdvancedRecorder::with_inter_class(nodes, fwd_keys()), None);
+        let shared = run(
+            AdvancedRecorder::sharing(fwd_keys(), SharedNodeStore::new(nodes)),
+            Some(&telemetry),
+        );
+
+        assert_eq!(private.outputs().len(), packets.len());
+        assert_eq!(private.outputs(), shared.outputs());
+        for node in ts.net.nodes() {
+            let (p, s) = (private.recorder(), shared.recorder());
+            assert_eq!(p.storage_at(node), s.storage_at(node), "{node}");
+            assert_eq!(p.row_counts(node), s.row_counts(node), "{node}");
+        }
+        let (ctx_p, ctx_s) = (
+            QueryCtx::from_runtime(&private),
+            QueryCtx::from_runtime(&shared),
+        );
+        for out in private.outputs() {
+            let p = query_advanced(&ctx_p, private.recorder(), &out.tuple, &out.evid).unwrap();
+            let s = query_advanced(&ctx_s, shared.recorder(), &out.tuple, &out.evid).unwrap();
+            assert_eq!(p.tree, s.tree);
+        }
+        let checks = telemetry.counter_total("recorder.htequi_hits")
+            + telemetry.counter_total("recorder.htequi_misses");
+        assert_eq!(checks, packets.len() as u64);
+        assert!(telemetry.counter_total("recorder.htequi_hits") > 0);
     }
 }

@@ -20,7 +20,9 @@
 //!   small `prov` row associating their output tuple (and `evid`) with the
 //!   shared tree (Table 3). Optionally, rule-execution *nodes* are shared
 //!   across classes via the `ruleExecNode`/`ruleExecLink` split of
-//!   Section 5.4.
+//!   Section 5.4, kept in a [`SharedNodeStore`] that several programs'
+//!   recorders may share ([`AdvancedRecorder::sharing`], the paper's
+//!   Section 8 future work).
 //!
 //! [`GroundTruthRecorder`] captures full provenance trees directly from the
 //! execution — the oracle against which the correctness theorems
@@ -34,7 +36,6 @@
 
 pub mod advanced;
 pub mod basic;
-pub mod crossprog;
 pub mod dump;
 pub mod exspan;
 pub mod query;
@@ -48,12 +49,11 @@ pub mod tree;
 
 pub use advanced::AdvancedRecorder;
 pub use basic::BasicRecorder;
-pub use crossprog::{CrossProgramRecorder, SharedNodeStore};
 pub use exspan::ExspanRecorder;
 pub use query::{
     query_advanced, query_advanced_all, query_basic, query_exspan, simulate_query_advanced,
-    simulate_query_exspan, AdvancedStore, QueryCostModel, QueryCtx, QueryResult, QueryTrace,
-    SimulatedQuery, TupleResolver,
+    simulate_query_exspan, QueryCostModel, QueryCtx, QueryResult, QueryTrace, SimulatedQuery,
+    TupleResolver,
 };
 pub use reference::GroundTruthRecorder;
 pub use replay::{ReplayLog, ReplayOp, ReplayableRuntime};
@@ -61,5 +61,5 @@ pub use scheme::Scheme;
 pub use selfhost::{
     extend_input_event, extend_input_event_advanced, register_advanced_fns, register_provenance_fns,
 };
-pub use storage::{ProvRow, ProvRowAdv, RuleExecRow, RuleExecView};
+pub use storage::{ProvRow, ProvRowAdv, RuleExecRow, RuleExecView, SharedNodeStore};
 pub use tree::ProvTree;

@@ -36,7 +36,7 @@ use crate::advanced::AdvancedRecorder;
 use crate::basic::BasicRecorder;
 use crate::exspan::ExspanRecorder;
 use crate::reconstruct::{reconstruct, ChainLevel};
-use crate::storage::{ProvRow, ProvRowAdv, RuleExecView};
+use crate::storage::ProvRow;
 use crate::tree::ProvTree;
 
 /// Resolves tuple contents at query time: the leaf tuples referenced by
@@ -388,37 +388,18 @@ impl Walk for BasicWalk<'_> {
     }
 }
 
-/// Storage interface the Advanced query walks: implemented by
-/// [`AdvancedRecorder`] and by the cross-program recorder
-/// ([`crate::crossprog::CrossProgramRecorder`]).
-pub trait AdvancedStore {
-    /// All `prov` rows for one output tuple and execution (`GET_PROV`).
-    fn lookup_prov(&self, loc: NodeId, vid: &Vid, evid: &EvId) -> Vec<ProvRowAdv>;
-    /// Resolve one rule-execution provenance node.
-    fn lookup_rule_exec(&self, loc: NodeId, rid: &Rid) -> Option<RuleExecView>;
-}
-
-impl AdvancedStore for AdvancedRecorder {
-    fn lookup_prov(&self, loc: NodeId, vid: &Vid, evid: &EvId) -> Vec<ProvRowAdv> {
-        self.prov_rows(loc, vid, evid).cloned().collect()
-    }
-    fn lookup_rule_exec(&self, loc: NodeId, rid: &Rid) -> Option<RuleExecView> {
-        self.rule_exec(loc, rid)
-    }
-}
-
-struct AdvancedWalk<'a, S> {
-    store: &'a S,
+struct AdvancedWalk<'a> {
+    rec: &'a AdvancedRecorder,
     ctx: &'a QueryCtx<'a>,
     evid: EvId,
 }
 
-impl<S: AdvancedStore> AdvancedWalk<'_, S> {
+impl AdvancedWalk<'_> {
     /// `GET_PROV` at the querier: every derivation of `output` the
     /// execution stored (Appendix E).
     fn starts(&self, output: &Tuple) -> Result<Vec<(NodeId, Rid)>> {
         let querier = output.loc()?;
-        let provs = self.store.lookup_prov(querier, &output.vid(), &self.evid);
+        let provs = self.rec.prov_rows(querier, &output.vid(), &self.evid);
         if provs.is_empty() {
             return Err(Error::ProvenanceLookup(format!(
                 "no prov row for {output} / {} at {querier}",
@@ -429,7 +410,7 @@ impl<S: AdvancedStore> AdvancedWalk<'_, S> {
     }
 }
 
-impl<S: AdvancedStore> Walk for AdvancedWalk<'_, S> {
+impl Walk for AdvancedWalk<'_> {
     const SCHEME: &'static str = "advanced";
     // The prov row resolves through the equivalence-tagged table, so the
     // initial lookup is equivalence work.
@@ -438,8 +419,8 @@ impl<S: AdvancedStore> Walk for AdvancedWalk<'_, S> {
 
     fn step(&self, node: NodeId, rid: &Rid) -> Result<Fetched> {
         let view = self
-            .store
-            .lookup_rule_exec(node, rid)
+            .rec
+            .rule_exec(node, rid)
             .ok_or_else(|| Error::ProvenanceLookup(format!("no ruleExec node {rid} at {node}")))?;
         let slow = view
             .vids
@@ -667,9 +648,9 @@ pub fn query_basic(ctx: &QueryCtx<'_>, rec: &BasicRecorder, output: &Tuple) -> R
 /// An execution may have stored several derivations (`GET_PROV` returns a
 /// list; Appendix E); each is walked and reconstructed in turn, and the
 /// one reproducing `output` is returned.
-pub fn query_advanced<S: AdvancedStore>(
+pub fn query_advanced(
     ctx: &QueryCtx<'_>,
-    rec: &S,
+    rec: &AdvancedRecorder,
     output: &Tuple,
     evid: &EvId,
 ) -> Result<QueryResult> {
@@ -683,14 +664,14 @@ pub fn query_advanced<S: AdvancedStore>(
 /// of `output` by the execution `evid` — the set `M`. Multiple
 /// derivations arise when a rule joined several slow rows that produced
 /// the same head tuple. Each derivation is queried on its own.
-pub fn query_advanced_all<S: AdvancedStore>(
+pub fn query_advanced_all(
     ctx: &QueryCtx<'_>,
-    rec: &S,
+    rec: &AdvancedRecorder,
     output: &Tuple,
     evid: &EvId,
 ) -> Result<Vec<QueryResult>> {
     let walk = AdvancedWalk {
-        store: rec,
+        rec,
         ctx,
         evid: *evid,
     };
@@ -716,9 +697,9 @@ pub fn query_advanced_all<S: AdvancedStore>(
 /// [`query_advanced`] with every dependency spelled out and an optional
 /// trace.
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_query_advanced<S: AdvancedStore>(
+pub fn simulate_query_advanced(
     net: &Network,
-    rec: &S,
+    rec: &AdvancedRecorder,
     resolver: &dyn TupleResolver,
     delp: &Delp,
     fns: &FnRegistry,
@@ -735,7 +716,7 @@ pub fn simulate_query_advanced<S: AdvancedStore>(
         cost,
     };
     let walk = AdvancedWalk {
-        store: rec,
+        rec,
         ctx,
         evid: *evid,
     };
@@ -894,11 +875,7 @@ mod tests {
         /// read ships to the querier, then each level is re-executed.
         pub fn chain(ctx: &QueryCtx<'_>, rec: &AdvancedRecorder, out: &OutputRecord) -> SimTime {
             let querier = out.tuple.loc().unwrap();
-            let prov = rec
-                .prov_rows(querier, &out.tuple.vid(), &out.evid)
-                .next()
-                .unwrap()
-                .clone();
+            let prov = &rec.prov_rows(querier, &out.tuple.vid(), &out.evid)[0];
             let (mut latency, mut transfer) = (ctx.cost.per_row_proc, SimTime::ZERO);
             let (mut cur, mut next, mut levels) = (querier, Some((prov.rloc, prov.rid)), 0);
             while let Some((loc, rid)) = next {

@@ -8,6 +8,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use dpc_common::{EvId, NodeId, Rid, StorageSize, Vid};
 use dpc_telemetry::{Gauge, PerNode, TelemetryHandle};
@@ -156,65 +157,79 @@ impl ProvTable {
     }
 }
 
-/// One node's `prov` table in the Advanced layout, keyed by
-/// `(vid, evid, rid)` — one row per output tuple per execution per
-/// derivation (an execution can have several derivations when a rule
-/// joined several slow rows; QUERY returns the whole set, Appendix E).
+/// One node's `prov` table in the Advanced layout: the rows of one output
+/// tuple and execution, keyed by `(vid, evid)` and deduplicated by `rid` —
+/// one row per derivation (an execution can have several derivations when
+/// a rule joined several slow rows; QUERY returns the whole set,
+/// Appendix E).
 #[derive(Debug, Clone, Default)]
 pub struct ProvTableAdv {
-    rows: HashMap<(Vid, EvId, Rid), ProvRowAdv>,
+    rows: HashMap<(Vid, EvId), Derivations>,
+    len: usize,
     bytes: usize,
+}
+
+/// The `prov` rows of one output tuple and execution. Nearly every
+/// execution has a single derivation, kept inline without an allocation.
+#[derive(Debug, Clone)]
+enum Derivations {
+    One(ProvRowAdv),
+    Many(Vec<ProvRowAdv>),
+}
+
+impl Derivations {
+    fn as_slice(&self) -> &[ProvRowAdv] {
+        match self {
+            Derivations::One(row) => std::slice::from_ref(row),
+            Derivations::Many(rows) => rows,
+        }
+    }
 }
 
 impl ProvTableAdv {
     /// Insert a row if `(vid, evid, rid)` is new.
     pub fn insert(&mut self, row: ProvRowAdv) -> bool {
-        match self.rows.entry((row.vid, row.evid, row.rid)) {
-            Entry::Occupied(_) => false,
+        let size = row.storage_size();
+        match self.rows.entry((row.vid, row.evid)) {
             Entry::Vacant(v) => {
-                self.bytes += row.storage_size();
-                v.insert(row);
-                true
+                v.insert(Derivations::One(row));
+            }
+            Entry::Occupied(mut o) => {
+                let rows = o.get_mut();
+                if rows.as_slice().iter().any(|r| r.rid == row.rid) {
+                    return false;
+                }
+                match rows {
+                    Derivations::One(first) => *rows = Derivations::Many(vec![first.clone(), row]),
+                    Derivations::Many(all) => all.push(row),
+                }
             }
         }
+        self.len += 1;
+        self.bytes += size;
+        true
     }
 
-    /// All rows for an output tuple vid and execution evid — the
-    /// `GET_PROV` lookup of Appendix E.
-    pub fn get_all<'a>(
-        &'a self,
-        vid: &'a Vid,
-        evid: &'a EvId,
-    ) -> impl Iterator<Item = &'a ProvRowAdv> {
+    /// All rows for an output tuple vid and execution evid, in insertion
+    /// order — the `GET_PROV` lookup of Appendix E.
+    pub fn get_all(&self, vid: &Vid, evid: &EvId) -> &[ProvRowAdv] {
         self.rows
-            .iter()
-            .filter(move |((v, e, _), _)| v == vid && e == evid)
-            .map(|(_, r)| r)
+            .get(&(*vid, *evid))
+            .map_or(&[], Derivations::as_slice)
     }
 
     /// The unique row for `(vid, evid)` when the execution had a single
-    /// derivation (the common case).
-    pub fn get<'a>(&'a self, vid: &'a Vid, evid: &'a EvId) -> Option<&'a ProvRowAdv> {
-        let mut it = self.get_all(vid, evid);
-        let first = it.next();
-        if it.next().is_some() {
-            None // ambiguous: callers must use get_all
-        } else {
-            first
+    /// derivation (the common case); `None` when absent or ambiguous.
+    pub fn get(&self, vid: &Vid, evid: &EvId) -> Option<&ProvRowAdv> {
+        match self.get_all(vid, evid) {
+            [row] => Some(row),
+            _ => None,
         }
     }
 
     /// Iterate all rows (unordered).
     pub fn iter(&self) -> impl Iterator<Item = &ProvRowAdv> {
-        self.rows.values()
-    }
-
-    /// All rows for an output tuple vid (any execution).
-    pub fn rows_for_vid<'a>(&'a self, vid: &'a Vid) -> impl Iterator<Item = &'a ProvRowAdv> {
-        self.rows
-            .iter()
-            .filter(move |((v, _, _), _)| v == vid)
-            .map(|(_, r)| r)
+        self.rows.values().flat_map(Derivations::as_slice)
     }
 
     /// Serialized size in bytes.
@@ -224,12 +239,12 @@ impl ProvTableAdv {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// Is the table empty?
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 }
 
@@ -364,6 +379,72 @@ impl InterClassTables {
     }
 }
 
+/// Per-node [`InterClassTables`] behind a shared handle: the split store
+/// of one Advanced recorder, or of several programs' recorders at once
+/// (cross-program compression, the paper's Section 8 future work). Clones
+/// share state. The simulation is single-threaded; the lock makes the
+/// sharing explicit and keeps the handle `Send`.
+#[derive(Debug, Clone)]
+pub struct SharedNodeStore {
+    inner: Arc<Mutex<Vec<InterClassTables>>>,
+}
+
+impl SharedNodeStore {
+    /// A store for a network of `n` nodes.
+    pub fn new(n: usize) -> SharedNodeStore {
+        SharedNodeStore {
+            inner: Arc::new(Mutex::new(vec![InterClassTables::default(); n])),
+        }
+    }
+
+    fn tables(&self) -> MutexGuard<'_, Vec<InterClassTables>> {
+        self.inner.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Number of nodes the store covers.
+    pub(crate) fn node_count(&self) -> usize {
+        self.tables().len()
+    }
+
+    /// Serialized size of the tables at `node`. Shared across all
+    /// participating programs — count it once, not per program.
+    pub fn storage_at(&self, node: NodeId) -> usize {
+        self.tables()[node.index()].bytes()
+    }
+
+    /// Total storage across all nodes.
+    pub fn total_storage(&self) -> usize {
+        self.tables().iter().map(InterClassTables::bytes).sum()
+    }
+
+    /// Concrete node rows at `node`.
+    pub fn node_rows(&self, node: NodeId) -> usize {
+        self.tables()[node.index()].node_rows()
+    }
+
+    /// Link rows at `node`.
+    pub fn link_rows(&self, node: NodeId) -> usize {
+        self.tables()[node.index()].link_rows()
+    }
+
+    /// [`InterClassTables::insert`] at `node`.
+    pub(crate) fn insert(
+        &self,
+        node: NodeId,
+        node_rid: Rid,
+        node_row: RuleExecRow,
+        chain_rid: Rid,
+        next: Option<(NodeId, Rid)>,
+    ) -> usize {
+        self.tables()[node.index()].insert(node_rid, node_row, chain_rid, next)
+    }
+
+    /// [`InterClassTables::get`] at `node`.
+    pub(crate) fn get(&self, node: NodeId, chain_rid: &Rid) -> Option<RuleExecView> {
+        self.tables().get(node.index())?.get(chain_rid)
+    }
+}
+
 /// The per-node table gauges every scheme reports after a table changes
 /// (`recorder.prov_rows`, `recorder.rule_exec_rows`,
 /// `recorder.storage_bytes`), registered once when telemetry attaches.
@@ -482,9 +563,20 @@ mod tests {
         assert!(t.insert(mk(2))); // same vid, different execution
         assert!(!t.insert(mk(1)));
         assert_eq!(t.len(), 2);
-        assert_eq!(t.rows_for_vid(&vid(1)).count(), 2);
+        assert_eq!(t.get_all(&vid(1), &evid(2)), &[mk(2)]);
         assert!(t.get(&vid(1), &evid(1)).is_some());
         assert!(t.get(&vid(1), &evid(3)).is_none());
+        // A second derivation of one execution: both rows come back in
+        // insertion order, and the unique-row lookup declines.
+        let sibling = ProvRowAdv {
+            rid: rid(2),
+            ..mk(1)
+        };
+        assert!(t.insert(sibling.clone()));
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.bytes(), 3 * sibling.storage_size());
+        assert_eq!(t.get_all(&vid(1), &evid(1)), &[mk(1), sibling]);
+        assert!(t.get(&vid(1), &evid(1)).is_none());
     }
 
     #[test]

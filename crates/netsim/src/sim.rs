@@ -262,6 +262,26 @@ impl<M> Sim<M> {
         msg: M,
         ctx: SpanContext,
     ) -> Result<SimTime> {
+        let (at, span, dropped) = self.hop(src, dst, bytes, self.now, ctx)?;
+        if !dropped {
+            self.push(at, dst, msg, span);
+        }
+        Ok(at)
+    }
+
+    /// Put `bytes` on the directed link `src -> dst`, ready to depart at
+    /// `depart`: queue behind the link's earlier messages, charge the
+    /// traffic stats and telemetry, and let the fault injector claim it.
+    /// Returns the arrival time (the would-have-been arrival when
+    /// dropped), the span the delivery carries, and whether it dropped.
+    fn hop(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        bytes: usize,
+        depart: SimTime,
+        ctx: SpanContext,
+    ) -> Result<(SimTime, SpanContext, bool)> {
         let link = self
             .net
             .link(src, dst)
@@ -271,23 +291,16 @@ impl<M> Sim<M> {
             .get(&(src, dst))
             .copied()
             .unwrap_or(SimTime::ZERO)
-            .max(self.now);
+            .max(depart);
         let tx_done = free + link.transmission_delay(bytes);
         self.link_free.insert((src, dst), tx_done);
         *self.link_busy.entry((src, dst)).or_insert(0) += tx_done.as_nanos() - free.as_nanos();
         let at = tx_done + link.latency;
-        self.stats.record(self.now, src, dst, bytes);
-        self.record_hop(
-            src,
-            bytes,
-            SimTime::from_nanos(free.as_nanos() - self.now.as_nanos()),
-        );
+        self.stats.record(depart, src, dst, bytes);
+        self.record_hop(src, bytes, free - depart);
         let dropped = self.hop_drops(src, dst);
-        let hop = self.hop_span(ctx, src, dst, bytes, self.now, free, tx_done, at, dropped);
-        if !dropped {
-            self.push(at, dst, msg, hop);
-        }
-        Ok(at)
+        let hop = self.hop_span(ctx, src, dst, bytes, depart, free, tx_done, at, dropped);
+        Ok((at, hop, dropped))
     }
 
     /// Send `msg` from `src` to a possibly non-adjacent `dst`, hop by hop
@@ -325,30 +338,8 @@ impl<M> Sim<M> {
         let mut t = self.now;
         let mut carried = ctx;
         for w in path.windows(2) {
-            let link = self
-                .net
-                .link(w[0], w[1])
-                .expect("path consists of adjacent nodes");
-            let free = self
-                .link_free
-                .get(&(w[0], w[1]))
-                .copied()
-                .unwrap_or(SimTime::ZERO)
-                .max(t);
-            let tx_done = free + link.transmission_delay(bytes);
-            self.link_free.insert((w[0], w[1]), tx_done);
-            *self.link_busy.entry((w[0], w[1])).or_insert(0) +=
-                tx_done.as_nanos() - free.as_nanos();
-            self.stats.record(t, w[0], w[1], bytes);
-            self.record_hop(
-                w[0],
-                bytes,
-                SimTime::from_nanos(free.as_nanos() - t.as_nanos()),
-            );
-            let start = t;
-            t = tx_done + link.latency;
-            let dropped = self.hop_drops(w[0], w[1]);
-            carried = self.hop_span(ctx, w[0], w[1], bytes, start, free, tx_done, t, dropped);
+            let dropped;
+            (t, carried, dropped) = self.hop(w[0], w[1], bytes, t, ctx)?;
             if dropped {
                 // Lost en route: the hops so far carried it, nothing is
                 // delivered. The returned time is the would-have-been

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example cross_program`
 
-use dpc::core::{CrossProgramRecorder, SharedNodeStore};
+use dpc::core::SharedNodeStore;
 use dpc::netsim::topo;
 use dpc::prelude::*;
 
@@ -25,11 +25,11 @@ fn main() {
     let net = topo::line(5, Link::STUB_STUB);
     let store = SharedNodeStore::new(5);
     let mut rt_fwd = Runtime::builder(delp_fwd, net.clone())
-        .recorder(CrossProgramRecorder::new(keys_fwd, store.clone()))
+        .recorder(AdvancedRecorder::sharing(keys_fwd, store.clone()))
         .build()
         .expect("forwarding program builds");
     let mut rt_mir = Runtime::builder(delp_mir, net)
-        .recorder(CrossProgramRecorder::new(keys_mir, store.clone()))
+        .recorder(AdvancedRecorder::sharing(keys_mir, store.clone()))
         .build()
         .expect("mirror program builds");
     for rt in [&mut rt_fwd, &mut rt_mir] {
