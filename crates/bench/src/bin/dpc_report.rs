@@ -135,7 +135,7 @@ fn timelines(args: &[String]) {
     // storage plots imply).
     let per_scheme: Vec<(&str, std::collections::BTreeMap<u64, usize>)> = runs
         .iter()
-        .map(|(scheme, m)| (scheme.name(), m.snapshots.iter().copied().collect()))
+        .map(|(scheme, m)| (scheme.name(), m.storage_snapshots().into_iter().collect()))
         .collect();
     if let Some((_, exspan)) = per_scheme.iter().find(|(n, _)| *n == "ExSPAN") {
         let mut rxs = Vec::new();

@@ -131,15 +131,9 @@ fn run_generic<R: ProvRecorder>(cfg: &DnsConfig, make: impl FnOnce(usize) -> R) 
         .telemetry()
         .cloned()
         .expect("run_generic always attaches telemetry");
-    let snapshots = crate::snapshots_from_series(&crate::sum_timeseries(
-        &telemetry,
-        "recorder.storage_bytes#",
-    ));
     DnsRunOutput {
         m: RunMeasurements {
             per_node_storage,
-            snapshots,
-            traffic_per_second: rt.stats().per_second_series(),
             total_traffic: rt.stats().total_bytes(),
             per_link_bytes: rt.stats().per_link_totals(),
             outputs: rt.outputs().len(),

@@ -207,14 +207,8 @@ fn drive<R: ProvRecorder>(mut rt: Runtime<R>, cfg: &FwdConfig) -> RunMeasurement
         .telemetry()
         .cloned()
         .expect("prepare() always attaches telemetry");
-    let snapshots = crate::snapshots_from_series(&crate::sum_timeseries(
-        &telemetry,
-        "recorder.storage_bytes#",
-    ));
     RunMeasurements {
         per_node_storage,
-        snapshots,
-        traffic_per_second: rt.stats().per_second_series(),
         total_traffic: rt.stats().total_bytes(),
         per_link_bytes: rt.stats().per_link_totals(),
         outputs: rt.outputs().len(),
@@ -335,8 +329,9 @@ mod tests {
     #[test]
     fn snapshots_are_monotone() {
         let out = run_forwarding(Scheme::Exspan, &tiny());
-        assert!(!out.m.snapshots.is_empty());
-        assert!(out.m.snapshots.windows(2).all(|w| w[0].1 <= w[1].1));
+        let snapshots = out.m.storage_snapshots();
+        assert!(!snapshots.is_empty());
+        assert!(snapshots.windows(2).all(|w| w[0].1 <= w[1].1));
     }
 
     #[test]

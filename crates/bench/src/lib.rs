@@ -69,10 +69,6 @@ pub use dpc_core::Scheme;
 pub struct RunMeasurements {
     /// Final provenance storage per node, bytes.
     pub per_node_storage: Vec<usize>,
-    /// `(second, total storage bytes)` snapshots.
-    pub snapshots: Vec<(u64, usize)>,
-    /// Bytes on the wire per simulated second.
-    pub traffic_per_second: Vec<u64>,
     /// Total bytes on the wire.
     pub total_traffic: u64,
     /// Total bytes per (undirected) link, sorted by endpoint pair.
@@ -141,6 +137,12 @@ impl RunMeasurements {
     /// provenance).
     pub fn storage_series(&self) -> Vec<(u64, f64)> {
         sum_timeseries(&self.telemetry, "recorder.storage_bytes#")
+    }
+
+    /// [`RunMeasurements::storage_series`] as `(second, total storage
+    /// bytes)` snapshots ([`snapshots_from_series`]).
+    pub fn storage_snapshots(&self) -> Vec<(u64, usize)> {
+        snapshots_from_series(&self.storage_series())
     }
 
     /// Cumulative bytes on the wire over simulated time as
@@ -410,10 +412,11 @@ mod tests {
         let t = dpc_telemetry::Telemetry::handle();
         t.set_timeseries(1, 64);
         // Node 0 samples at 1000 and 3000; node 1 only at 2000.
-        t.ts_record(1000, "recorder.storage_bytes#0", 10.0);
-        t.ts_record(2000, "recorder.storage_bytes#1", 5.0);
-        t.ts_record(3000, "recorder.storage_bytes#0", 20.0);
-        t.ts_record(3000, "unrelated.series", 99.0);
+        let at = |stamp: u64, key: &str, v: f64| t.ts_record_all(stamp, [(key.to_string(), v)]);
+        at(1000, "recorder.storage_bytes#0", 10.0);
+        at(2000, "recorder.storage_bytes#1", 5.0);
+        at(3000, "recorder.storage_bytes#0", 20.0);
+        at(3000, "unrelated.series", 99.0);
         let total = sum_timeseries(&t, "recorder.storage_bytes#");
         assert_eq!(total, vec![(1000, 10.0), (2000, 15.0), (3000, 25.0)]);
     }
@@ -432,8 +435,6 @@ mod tests {
     fn measurements_helpers() {
         let m = RunMeasurements {
             per_node_storage: vec![1_000_000, 2_000_000],
-            snapshots: vec![],
-            traffic_per_second: vec![],
             total_traffic: 0,
             per_link_bytes: vec![],
             outputs: 0,

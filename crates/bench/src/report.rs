@@ -64,9 +64,9 @@ pub fn run_json_with(
         (
             "storage_snapshots",
             Json::Arr(
-                m.snapshots
-                    .iter()
-                    .map(|&(sec, bytes)| Json::Arr(vec![Json::UInt(sec), Json::UInt(bytes as u64)]))
+                m.storage_snapshots()
+                    .into_iter()
+                    .map(|(sec, bytes)| Json::Arr(vec![Json::UInt(sec), Json::UInt(bytes as u64)]))
                     .collect(),
             ),
         ),
@@ -200,10 +200,13 @@ mod tests {
     fn run_json_schema() {
         use dpc_common::NodeId;
         use dpc_netsim::SimTime;
+        let telemetry = dpc_telemetry::Telemetry::handle();
+        telemetry.set_timeseries(1, 64);
+        for (stamp, bytes) in [(1_000_000_000, 5.0), (2_000_000_000, 30.0)] {
+            telemetry.ts_record_all(stamp, [("recorder.storage_bytes#0".to_string(), bytes)]);
+        }
         let m = RunMeasurements {
             per_node_storage: vec![10, 20],
-            snapshots: vec![(1, 5), (2, 30)],
-            traffic_per_second: vec![3, 4],
             total_traffic: 7,
             per_link_bytes: vec![((NodeId(0), NodeId(1)), 7)],
             outputs: 2,
@@ -211,7 +214,7 @@ mod tests {
             index_hits: 0,
             index_misses: 0,
             duration: SimTime::from_secs(2),
-            telemetry: dpc_telemetry::Telemetry::handle(),
+            telemetry,
         };
         let line = run_json("fig08", "ExSPAN", &m).to_string();
         assert_eq!(

@@ -36,4 +36,4 @@ pub use db::{Database, Table};
 pub use eval::{eval_rule, Bindings, Firing, FnRegistry};
 pub use plan::{EvalStats, PlanSet, RulePlan};
 pub use recorder::{NoopRecorder, ProvMeta, ProvRecorder, Stage, TeeRecorder};
-pub use runtime::{NodeMetrics, OutputRecord, RunMetrics, Runtime, RuntimeBuilder, RuntimeConfig};
+pub use runtime::{OutputRecord, RunMetrics, Runtime, RuntimeBuilder, RuntimeConfig};

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use dpc_common::{Error, EvId, NodeId, Result, StorageSize, Tuple, Vid};
 use dpc_ndlog::{analyze, Delp, Mode as AnalysisMode};
 use dpc_netsim::{Network, Sim, SimTime, TrafficStats};
-use dpc_telemetry::{AttrValue, Counter, Gauge, PerNode, SpanContext, TelemetryHandle};
+use dpc_telemetry::{AttrValue, Counter, PerNode, SpanContext, TelemetryHandle};
 
 use crate::db::Database;
 use crate::eval::FnRegistry;
@@ -51,22 +51,6 @@ pub struct OutputRecord {
     pub evid: EvId,
     /// The execution id assigned at injection.
     pub exec_id: u64,
-}
-
-/// Per-node execution counters, for load-distribution analysis and
-/// debugging.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeMetrics {
-    /// Event tuples handled (input or intermediate arrivals).
-    pub events_handled: u64,
-    /// Rules fired here.
-    pub rules_fired: u64,
-    /// Output tuples derived here.
-    pub outputs: u64,
-    /// `sig` broadcasts received.
-    pub sigs: u64,
-    /// Fresh input events handled (stage 1 ran here).
-    pub inputs: u64,
 }
 
 /// Tunables of the runtime.
@@ -130,30 +114,20 @@ pub struct RunMetrics {
 /// The runtime's metric handles, registered once in
 /// [`Runtime::attach_telemetry`].
 struct EngineMetrics {
-    sig_broadcasts: Counter,
     sigs_received: PerNode<Counter>,
-    events_handled: PerNode<Counter>,
-    outputs: PerNode<Counter>,
-    joins_attempted: PerNode<Counter>,
     index_hits: PerNode<Counter>,
     index_misses: PerNode<Counter>,
     rules_fired: PerNode<Counter>,
-    db_rows: PerNode<Gauge>,
 }
 
 impl EngineMetrics {
     fn register(t: &TelemetryHandle, nodes: usize) -> EngineMetrics {
         use dpc_telemetry::counters::{INDEX_HITS, INDEX_MISSES};
         EngineMetrics {
-            sig_broadcasts: t.counter("engine.sig_broadcasts"),
             sigs_received: t.node_counters("engine.sigs_received", nodes),
-            events_handled: t.node_counters("engine.events_handled", nodes),
-            outputs: t.node_counters("engine.outputs", nodes),
-            joins_attempted: t.node_counters("engine.joins_attempted", nodes),
             index_hits: t.node_counters(INDEX_HITS, nodes),
             index_misses: t.node_counters(INDEX_MISSES, nodes),
             rules_fired: t.node_counters("engine.rules_fired", nodes),
-            db_rows: t.node_gauges("engine.db_rows", nodes),
         }
     }
 }
@@ -319,7 +293,6 @@ pub struct Runtime<R> {
     /// intermediate head relations whose tuples also get concrete
     /// provenance associations.
     interest: std::collections::BTreeSet<String>,
-    metrics: Vec<NodeMetrics>,
     outputs_count: u64,
     /// Errors from rule evaluation are fatal to the run; kept for context.
     rules_fired: u64,
@@ -370,7 +343,6 @@ impl<R: ProvRecorder> Runtime<R> {
             next_exec_id: 0,
             config: RuntimeConfig::default(),
             interest: std::collections::BTreeSet::new(),
-            metrics: vec![NodeMetrics::default(); n],
             outputs_count: 0,
             rules_fired: 0,
             lint_warnings: 0,
@@ -378,11 +350,6 @@ impl<R: ProvRecorder> Runtime<R> {
             telemetry: None,
             handles: None,
         }
-    }
-
-    /// Execution counters for one node.
-    pub fn node_metrics(&self, node: NodeId) -> NodeMetrics {
-        self.metrics[node.index()]
     }
 
     /// Validate and install the relations of interest (Section 3.2):
@@ -649,8 +616,8 @@ impl<R: ProvRecorder> Runtime<R> {
     /// `stamp`: pending delta-queue depth (the event heap drives rule
     /// re-evaluation), per-node table cardinality and estimated bytes,
     /// then the network layer's series ([`Sim::record_timeseries`]).
-    /// Registry gauges (recorder table sizes, equivalence-table state,
-    /// `engine.db_rows`) and derived ratios (`engine.index_hit_ratio`,
+    /// Registry gauges (recorder table sizes, equivalence-table state)
+    /// and derived ratios (`engine.index_hit_ratio`,
     /// `recorder.htequi_hit_rate`) were already copied by the sampler
     /// itself when the tick fired.
     fn record_timeseries(&self, stamp: u64) {
@@ -694,9 +661,6 @@ impl<R: ProvRecorder> Runtime<R> {
             Msg::SlowInsert { tuple } => {
                 self.recorder.on_base_install(node, &tuple);
                 self.dbs[node.index()].insert(tuple);
-                if let Some(m) = &self.handles {
-                    m.sig_broadcasts.add(1);
-                }
                 // The Section 5.5 control broadcast is its own trace: the
                 // root spans the fan-out until the last sig arrives.
                 let root = self.telemetry.as_ref().map_or(SpanContext::NONE, |t| {
@@ -729,7 +693,6 @@ impl<R: ProvRecorder> Runtime<R> {
                 Ok(())
             }
             Msg::Sig => {
-                self.metrics[node.index()].sigs += 1;
                 if let Some(m) = &self.handles {
                     m.sigs_received.at(node.0).add(1);
                 }
@@ -753,17 +716,9 @@ impl<R: ProvRecorder> Runtime<R> {
         mut meta: ProvMeta,
         ctx: SpanContext,
     ) -> Result<()> {
-        self.metrics[node.index()].events_handled += 1;
-        if let Some(m) = &self.handles {
-            m.events_handled.at(node.0).add(1);
-        }
         // Output tuples complete an execution (stage 3).
         if self.delp.is_output(tuple.rel()) {
-            self.metrics[node.index()].outputs += 1;
             self.outputs_count += 1;
-            if let Some(m) = &self.handles {
-                m.outputs.at(node.0).add(1);
-            }
             if let Some(t) = &self.telemetry {
                 // Stage 3 closes the execution's root span.
                 let s = t.span_child("engine.event", Some(node.0), ctx, at.as_nanos());
@@ -800,7 +755,6 @@ impl<R: ProvRecorder> Runtime<R> {
         // Stage 1 for fresh inputs: equivalence-keys checking and event
         // materialization.
         if meta.stage == Stage::Input {
-            self.metrics[node.index()].inputs += 1;
             self.recorder.on_input(node, &tuple, &mut meta);
             if let Some(t) = &self.telemetry {
                 // Schemes that run the equivalence check set `eq_hash`;
@@ -830,9 +784,6 @@ impl<R: ProvRecorder> Runtime<R> {
         let mut ev_end = at;
         for plan in &plans {
             let rule = plan.rule();
-            if let Some(m) = &self.handles {
-                m.joins_attempted.at(node.0).add(1);
-            }
             let mut stats = EvalStats::default();
             let firings = plan.eval(&tuple, &mut self.dbs[node.index()], &self.fns, &mut stats)?;
             self.eval_stats.merge(stats);
@@ -846,7 +797,6 @@ impl<R: ProvRecorder> Runtime<R> {
             }
             for firing in firings {
                 self.rules_fired += 1;
-                self.metrics[node.index()].rules_fired += 1;
                 if let Some(m) = &self.handles {
                     m.rules_fired.at(node.0).add(1);
                 }
@@ -896,11 +846,6 @@ impl<R: ProvRecorder> Runtime<R> {
         }
         if let Some(t) = &self.telemetry {
             t.span_end(ev, ev_end.as_nanos());
-        }
-        if let Some(m) = &self.handles {
-            m.db_rows
-                .at(node.0)
-                .set(self.dbs[node.index()].len() as i64);
         }
         Ok(())
     }
@@ -1166,28 +1111,28 @@ mod tests {
     }
 
     #[test]
-    fn node_metrics_track_execution() {
+    fn registry_tracks_execution_per_node() {
+        let t = dpc_telemetry::Telemetry::handle();
         let mut rt = figure2_runtime();
+        rt.attach_telemetry(t.clone());
         rt.inject(packet(0, 0, 2, "data")).unwrap();
         rt.inject(packet(0, 0, 2, "url")).unwrap();
         rt.run().unwrap();
-        // n0: 2 input events handled, 2 r1 firings.
-        let m0 = rt.node_metrics(n(0));
-        assert_eq!(m0.events_handled, 2);
-        assert_eq!(m0.rules_fired, 2);
-        assert_eq!(m0.outputs, 0);
-        // n2: 2 packet arrivals + 2 recv deliveries, 2 r2 firings, 2 outs.
-        let m2 = rt.node_metrics(n(2));
-        assert_eq!(m2.events_handled, 4);
-        assert_eq!(m2.rules_fired, 2);
-        assert_eq!(m2.outputs, 2);
-        assert_eq!(m2.sigs, 0);
+        // r1 fires twice at n0 and at n1, r2 twice at n2.
+        assert_eq!(
+            t.counter_by_node("engine.rules_fired"),
+            [(0, 2), (1, 2), (2, 2)].into()
+        );
+        assert_eq!(rt.outputs().len(), 2);
+        assert!(rt.outputs().iter().all(|o| o.node == n(2)));
+        assert!(t.counter_by_node("engine.sigs_received").is_empty());
         // A slow update delivers a sig everywhere.
         rt.update_slow_at(route(1, 0, 0), rt.now()).unwrap();
         rt.run().unwrap();
-        for i in 0..3 {
-            assert_eq!(rt.node_metrics(n(i)).sigs, 1, "node n{i}");
-        }
+        assert_eq!(
+            t.counter_by_node("engine.sigs_received"),
+            [(0, 1), (1, 1), (2, 1)].into()
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! This crate stands in for the paper's use of the ns-3 simulator: it
 //! provides simulated time, point-to-point links with latency and
 //! bandwidth, a message scheduler with per-link transmission queuing, and
-//! per-second traffic accounting. The topology generators reproduce the
+//! per-link traffic accounting. The topology generators reproduce the
 //! paper's evaluation setups: a GT-ITM-style transit-stub graph (packet
 //! forwarding, Section 6.1) and a hierarchical nameserver tree (DNS,
 //! Section 6.2).

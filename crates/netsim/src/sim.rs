@@ -71,7 +71,6 @@ struct Loss {
 /// [`Sim::set_telemetry`].
 struct NetMetrics {
     msgs_sent: PerNode<Counter>,
-    bytes_sent: PerNode<Counter>,
     msgs_dropped: PerNode<Counter>,
     queue_delay_ns: Hist,
 }
@@ -113,14 +112,13 @@ impl<M> Sim<M> {
         }
     }
 
-    /// Attach a telemetry sink: per-node message/byte counters, a drop
-    /// counter and a queueing-delay histogram are recorded through it,
-    /// for the nodes the network has now.
+    /// Attach a telemetry sink: per-node message and drop counters and a
+    /// queueing-delay histogram are recorded through it, for the nodes the
+    /// network has now.
     pub fn set_telemetry(&mut self, telemetry: TelemetryHandle) {
         let n = self.net.node_count();
         self.metrics = Some(NetMetrics {
             msgs_sent: telemetry.node_counters("net.msgs_sent", n),
-            bytes_sent: telemetry.node_counters("net.bytes_sent", n),
             msgs_dropped: telemetry.node_counters("net.msgs_dropped", n),
             queue_delay_ns: telemetry.hist("net.queue_delay_ns"),
         });
@@ -129,10 +127,9 @@ impl<M> Sim<M> {
 
     /// Record one hop's telemetry: `queued` is how long the message waited
     /// for the directed link to free up before transmission began.
-    fn record_hop(&self, src: NodeId, bytes: usize, queued: SimTime) {
+    fn record_hop(&self, src: NodeId, queued: SimTime) {
         if let Some(m) = &self.metrics {
             m.msgs_sent.at(src.0).add(1);
-            m.bytes_sent.at(src.0).add(bytes as u64);
             m.queue_delay_ns.observe(queued.as_nanos());
         }
     }
@@ -296,8 +293,8 @@ impl<M> Sim<M> {
         self.link_free.insert((src, dst), tx_done);
         *self.link_busy.entry((src, dst)).or_insert(0) += tx_done.as_nanos() - free.as_nanos();
         let at = tx_done + link.latency;
-        self.stats.record(depart, src, dst, bytes);
-        self.record_hop(src, bytes, free - depart);
+        self.stats.record(src, dst, bytes);
+        self.record_hop(src, free - depart);
         let dropped = self.hop_drops(src, dst);
         let hop = self.hop_span(ctx, src, dst, bytes, depart, free, tx_done, at, dropped);
         Ok((at, hop, dropped))
@@ -836,7 +833,6 @@ mod tests {
         sim.send(n(0), n(1), 10, "a").unwrap();
         sim.send(n(0), n(1), 10, "b").unwrap(); // dropped
         assert_eq!(t.counter_total("net.msgs_sent"), 2);
-        assert_eq!(t.counter_total("net.bytes_sent"), 20);
         assert_eq!(t.counter_total("net.msgs_dropped"), 1);
         // The second send queued behind the first's transmission: the
         // queueing-delay histogram saw one zero and one positive wait.

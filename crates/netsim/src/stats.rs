@@ -1,17 +1,16 @@
-//! Traffic accounting: total bytes, per-second series and per-link totals.
+//! Traffic accounting: total bytes, message count and per-link totals.
+//! Bandwidth over time is the telemetry sampler's `net.bytes_total`
+//! series.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use dpc_common::NodeId;
-
-use crate::time::SimTime;
 
 /// Accumulated traffic statistics for one simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct TrafficStats {
     total_bytes: u64,
     messages: u64,
-    per_second: BTreeMap<u64, u64>,
     per_link: HashMap<(NodeId, NodeId), u64>,
 }
 
@@ -21,11 +20,10 @@ impl TrafficStats {
         TrafficStats::default()
     }
 
-    /// Record one message of `bytes` sent from `src` to `dst` at `at`.
-    pub fn record(&mut self, at: SimTime, src: NodeId, dst: NodeId, bytes: usize) {
+    /// Record one message of `bytes` sent from `src` to `dst`.
+    pub fn record(&mut self, src: NodeId, dst: NodeId, bytes: usize) {
         self.total_bytes += bytes as u64;
         self.messages += 1;
-        *self.per_second.entry(at.whole_secs()).or_insert(0) += bytes as u64;
         // Normalize link direction so a link's two directions aggregate.
         let key = if src.0 <= dst.0 {
             (src, dst)
@@ -45,20 +43,6 @@ impl TrafficStats {
         self.messages
     }
 
-    /// Bytes sent during simulated second `sec`.
-    pub fn bytes_in_second(&self, sec: u64) -> u64 {
-        self.per_second.get(&sec).copied().unwrap_or(0)
-    }
-
-    /// The per-second byte series from second 0 through the last non-empty
-    /// second (inclusive); empty if nothing was sent.
-    pub fn per_second_series(&self) -> Vec<u64> {
-        let Some((&last, _)) = self.per_second.iter().next_back() else {
-            return Vec::new();
-        };
-        (0..=last).map(|s| self.bytes_in_second(s)).collect()
-    }
-
     /// Total bytes carried by the (undirected) link `a`-`b`.
     pub fn link_bytes(&self, a: NodeId, b: NodeId) -> u64 {
         let key = if a.0 <= b.0 { (a, b) } else { (b, a) };
@@ -72,16 +56,6 @@ impl TrafficStats {
         let mut v: Vec<_> = self.per_link.iter().map(|(&k, &b)| (k, b)).collect();
         v.sort_unstable_by_key(|&((a, b), _)| (a.0, b.0));
         v
-    }
-
-    /// Mean bandwidth in bytes/second over `[0, duration)`.
-    pub fn mean_bandwidth(&self, duration: SimTime) -> f64 {
-        let secs = duration.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.total_bytes as f64 / secs
-        }
     }
 
     /// Reset all counters (e.g. between measurement phases).
@@ -101,95 +75,41 @@ mod tests {
     #[test]
     fn totals_accumulate() {
         let mut s = TrafficStats::new();
-        s.record(SimTime::from_millis(100), n(0), n(1), 500);
-        s.record(SimTime::from_millis(200), n(1), n(0), 300);
+        s.record(n(0), n(1), 500);
+        s.record(n(1), n(0), 300);
         assert_eq!(s.total_bytes(), 800);
         assert_eq!(s.messages(), 2);
     }
 
     #[test]
-    fn per_second_buckets() {
-        let mut s = TrafficStats::new();
-        s.record(SimTime::from_millis(500), n(0), n(1), 10);
-        s.record(SimTime::from_millis(999), n(0), n(1), 10);
-        s.record(SimTime::from_millis(1000), n(0), n(1), 7);
-        assert_eq!(s.bytes_in_second(0), 20);
-        assert_eq!(s.bytes_in_second(1), 7);
-        assert_eq!(s.bytes_in_second(2), 0);
-        assert_eq!(s.per_second_series(), vec![20, 7]);
-    }
-
-    #[test]
-    fn per_second_series_fills_gaps() {
-        let mut s = TrafficStats::new();
-        s.record(SimTime::from_secs(0), n(0), n(1), 1);
-        s.record(SimTime::from_secs(3), n(0), n(1), 2);
-        assert_eq!(s.per_second_series(), vec![1, 0, 0, 2]);
-    }
-
-    #[test]
     fn link_direction_is_normalized() {
         let mut s = TrafficStats::new();
-        s.record(SimTime::ZERO, n(2), n(5), 10);
-        s.record(SimTime::ZERO, n(5), n(2), 5);
+        s.record(n(2), n(5), 10);
+        s.record(n(5), n(2), 5);
         assert_eq!(s.link_bytes(n(2), n(5)), 15);
         assert_eq!(s.link_bytes(n(5), n(2)), 15);
         assert_eq!(s.link_bytes(n(0), n(1)), 0);
     }
 
     #[test]
-    fn mean_bandwidth() {
-        let mut s = TrafficStats::new();
-        s.record(SimTime::ZERO, n(0), n(1), 1000);
-        assert!((s.mean_bandwidth(SimTime::from_secs(2)) - 500.0).abs() < 1e-9);
-        assert_eq!(s.mean_bandwidth(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
     fn clear_resets() {
         let mut s = TrafficStats::new();
-        s.record(SimTime::ZERO, n(0), n(1), 10);
+        s.record(n(0), n(1), 10);
         s.clear();
         assert_eq!(s.total_bytes(), 0);
-        assert!(s.per_second_series().is_empty());
-    }
-
-    #[test]
-    fn empty_series() {
-        assert!(TrafficStats::new().per_second_series().is_empty());
+        assert_eq!(s.messages(), 0);
+        assert_eq!(s.link_bytes(n(0), n(1)), 0);
     }
 
     #[test]
     fn per_link_totals_are_sorted_and_normalized() {
         let mut s = TrafficStats::new();
-        s.record(SimTime::ZERO, n(5), n(2), 10);
-        s.record(SimTime::ZERO, n(0), n(1), 3);
-        s.record(SimTime::ZERO, n(2), n(5), 4);
+        s.record(n(5), n(2), 10);
+        s.record(n(0), n(1), 3);
+        s.record(n(2), n(5), 4);
         assert_eq!(
             s.per_link_totals(),
             vec![((n(0), n(1)), 3), ((n(2), n(5)), 14)]
         );
-    }
-
-    /// Regression: traffic exactly on a second boundary belongs to the
-    /// *starting* second, and the series covers second 0 through the last
-    /// non-empty second even when early seconds are silent.
-    #[test]
-    fn second_boundary_accounting() {
-        let mut s = TrafficStats::new();
-        // 1.999_999_999 s is still second 1; 2.0 s exactly is second 2.
-        s.record(SimTime::from_nanos(1_999_999_999), n(0), n(1), 5);
-        s.record(SimTime::from_secs(2), n(0), n(1), 7);
-        assert_eq!(s.bytes_in_second(0), 0);
-        assert_eq!(s.bytes_in_second(1), 5);
-        assert_eq!(s.bytes_in_second(2), 7);
-        assert_eq!(s.per_second_series(), vec![0, 5, 7]);
-        // A leading-silence run still starts the series at second 0.
-        let mut s = TrafficStats::new();
-        s.record(SimTime::from_secs(3), n(0), n(1), 1);
-        assert_eq!(s.per_second_series(), vec![0, 0, 0, 1]);
-        assert_eq!(s.bytes_in_second(2), 0);
-        assert_eq!(s.bytes_in_second(3), 1);
-        assert_eq!(s.bytes_in_second(4), 0);
     }
 }

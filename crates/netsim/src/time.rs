@@ -56,11 +56,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Whole seconds (truncating) — used for per-second traffic buckets.
-    pub const fn whole_secs(self) -> u64 {
-        self.0 / 1_000_000_000
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
@@ -126,7 +121,6 @@ mod tests {
     #[test]
     fn conversions() {
         let t = SimTime::from_millis(1500);
-        assert_eq!(t.whole_secs(), 1);
         assert!((t.as_secs_f64() - 1.5).abs() < 1e-12);
         assert!((t.as_millis_f64() - 1500.0).abs() < 1e-9);
     }

@@ -9,10 +9,10 @@
 //! shared [`Telemetry`] registry:
 //!
 //! * **Counters, gauges and histograms**, keyed by `(metric, node)`.
-//!   Counters are monotone `u64`s (rules fired, bytes sent, `htequi`
-//!   hits); gauges are last-write-wins values (DB rows); histograms
-//!   aggregate distributions (per-link queueing delay) into count / sum /
-//!   min / max plus power-of-two buckets.
+//!   Counters are monotone `u64`s (rules fired, messages sent, `htequi`
+//!   hits); gauges are last-write-wins values (provenance table rows);
+//!   histograms aggregate distributions (per-link queueing delay) into
+//!   count / sum / min / max.
 //! * **Metric handles.** A layer registers its metrics once, when
 //!   telemetry attaches ([`Telemetry::counter`], [`Telemetry::node_gauges`],
 //!   …), and writes through the returned [`Counter`] / [`Gauge`] /
@@ -72,12 +72,14 @@ pub use span::{
     check_well_formed, critical_path, duration_histograms, spans_by_trace, AttrValue, Breakdown,
     Category, SpanContext, SpanId, SpanRecord, TraceId,
 };
-pub use timeseries::{Sampler, Series, SeriesStore, DEFAULT_SERIES_CAPACITY};
+pub use timeseries::DEFAULT_SERIES_CAPACITY;
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+use timeseries::Sampler;
 
 /// A cloneable shared reference to a [`Telemetry`] registry.
 pub type TelemetryHandle = Arc<Telemetry>;
@@ -100,7 +102,6 @@ struct HistCell {
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
-    buckets: [AtomicU64; 65],
 }
 
 impl Default for HistCell {
@@ -110,7 +111,6 @@ impl Default for HistCell {
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 }
@@ -124,7 +124,6 @@ impl HistCell {
             sum: self.sum.load(RELAXED),
             min: self.min.load(RELAXED),
             max: self.max.load(RELAXED),
-            buckets: self.buckets.iter().map(|b| b.load(RELAXED)).collect(),
         })
     }
 }
@@ -177,7 +176,6 @@ impl Hist {
         if v > c.max.load(RELAXED) {
             c.max.fetch_max(v, RELAXED);
         }
-        c.buckets[bucket_of(v)].fetch_add(1, RELAXED);
     }
 }
 
@@ -195,9 +193,7 @@ impl<H> PerNode<H> {
     }
 }
 
-/// Aggregated distribution: count/sum/min/max plus power-of-two buckets
-/// (bucket `i` counts values `v` with `2^(i-1) <= v < 2^i`; bucket 0
-/// counts zeros).
+/// Aggregated distribution: count/sum/min/max.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Histogram {
     /// Number of observations.
@@ -208,15 +204,10 @@ pub struct Histogram {
     pub min: u64,
     /// Largest observation.
     pub max: u64,
-    /// 65 power-of-two buckets.
-    pub buckets: Vec<u64>,
 }
 
 impl Histogram {
     fn observe(&mut self, v: u64) {
-        if self.buckets.is_empty() {
-            self.buckets = vec![0; 65];
-        }
         if self.count == 0 || v < self.min {
             self.min = v;
         }
@@ -225,7 +216,6 @@ impl Histogram {
         }
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
-        self.buckets[bucket_of(v)] += 1;
     }
 
     /// Mean observation (0.0 when empty).
@@ -236,11 +226,6 @@ impl Histogram {
             self.sum as f64 / self.count as f64
         }
     }
-}
-
-/// Power-of-two bucket of `v`: 0 for zero, else `1 + floor(log2 v)`.
-fn bucket_of(v: u64) -> usize {
-    64 - v.leading_zeros() as usize
 }
 
 /// Metric key: a static metric name plus an optional node scope.
@@ -499,7 +484,7 @@ impl Telemetry {
     /// * if time-series sampling is on and its tick is due, copy every
     ///   registry gauge (keyed `name` / `name#node`) plus the derived
     ///   ratio gauges into the series store at the *aligned* tick stamp
-    ///   ([`Sampler::due`]) and return that stamp, so callers can record
+    ///   ([`timeseries::Sampler::due`]) and return that stamp, so callers can record
     ///   their own layer-specific series at the same instant.
     ///
     /// Returns `None` when no sample was taken.
@@ -753,17 +738,10 @@ impl Telemetry {
         Some(now_nanos)
     }
 
-    /// Record one layer-specific sample at `stamp` (no-op when sampling
-    /// is disabled). `stamp` should come from [`Telemetry::tick`] /
-    /// [`Telemetry::sample_now`] so all series share timestamps.
-    pub fn ts_record(&self, stamp: u64, key: &str, value: f64) {
-        if let Some(s) = self.lock().sampler.as_mut() {
-            s.store_mut().record(key, stamp, value);
-        }
-    }
-
     /// Record a batch of layer-specific samples at `stamp` (no-op when
-    /// sampling is disabled).
+    /// sampling is disabled). `stamp` should come from
+    /// [`Telemetry::tick`] / [`Telemetry::sample_now`] so all series share
+    /// timestamps.
     pub fn ts_record_all(&self, stamp: u64, entries: impl IntoIterator<Item = (String, f64)>) {
         let mut g = self.lock();
         if let Some(s) = g.sampler.as_mut() {
@@ -987,11 +965,6 @@ mod tests {
         assert_eq!(h.min, 0);
         assert_eq!(h.max, 1000);
         assert!((h.mean() - 201.2).abs() < 1e-9);
-        assert_eq!(h.buckets.len(), 65);
-        assert_eq!(h.buckets[0], 1); // the zero
-        assert_eq!(h.buckets[1], 1); // 1
-        assert_eq!(h.buckets[2], 2); // 2, 3
-        assert_eq!(h.buckets[10], 1); // 512 <= 1000 < 1024
     }
 
     #[test]
@@ -1076,21 +1049,21 @@ mod tests {
     fn sampler_copies_gauges_and_derived_on_tick() {
         let t = Telemetry::new();
         t.set_timeseries(1000, 64);
-        let rows = t.node_gauges("engine.db_rows", 4);
+        let rows = t.node_gauges("recorder.prov_rows", 4);
         rows.at(3).set(7);
         t.counter(counters::INDEX_HITS).add(1);
         t.counter(counters::INDEX_MISSES).add(1);
         assert_eq!(t.tick(999), None, "not due yet");
         assert_eq!(t.tick(1234), Some(1000), "aligned stamp");
-        t.ts_record(1000, "net.heap_depth", 5.0);
+        t.ts_record_all(1000, [("net.heap_depth".to_string(), 5.0)]);
         rows.at(3).set(9);
         assert_eq!(t.tick(2000), Some(2000));
         assert_eq!(
-            t.timeseries_get("engine.db_rows#3").unwrap(),
+            t.timeseries_get("recorder.prov_rows#3").unwrap(),
             vec![(1000, 7.0), (2000, 9.0)]
         );
         // Registered but never set: no series.
-        assert_eq!(t.timeseries_get("engine.db_rows#0"), None);
+        assert_eq!(t.timeseries_get("recorder.prov_rows#0"), None);
         assert_eq!(
             t.timeseries_get("engine.index_hit_ratio").unwrap(),
             vec![(1000, 0.5), (2000, 0.5)]
@@ -1121,7 +1094,6 @@ mod tests {
         t.node_gauges("g", 1).at(0).set(1);
         assert_eq!(t.tick(5000), None);
         assert_eq!(t.sample_now(5000), None);
-        t.ts_record(5000, "k", 1.0);
         t.ts_record_all(5000, [("k2".to_string(), 2.0)]);
         assert!(t.timeseries().is_empty());
         assert_eq!(t.timeseries_json_lines(), "");

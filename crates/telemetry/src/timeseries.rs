@@ -23,8 +23,8 @@
 //!
 //! The sampler lives inside [`crate::Telemetry`] (see
 //! [`crate::Telemetry::set_timeseries`]); layers record through
-//! [`crate::Telemetry::ts_record`] / [`crate::Telemetry::ts_record_all`]
-//! and the whole store exports as JSON-lines or CSV.
+//! [`crate::Telemetry::ts_record_all`] and the whole store exports as
+//! JSON-lines or CSV.
 
 use std::collections::BTreeMap;
 
@@ -90,26 +90,6 @@ impl Series {
     pub fn points(&self) -> &[(u64, f64)] {
         &self.points
     }
-
-    /// Number of stored points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Is the series empty?
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The most recent point, if any.
-    pub fn last(&self) -> Option<(u64, f64)> {
-        self.points.last().copied()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
 }
 
 /// A deterministic (sorted-key) collection of named [`Series`].
@@ -148,16 +128,6 @@ impl SeriesStore {
     /// Iterate `(key, series)` in sorted key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Series)> {
         self.series.iter().map(|(k, s)| (k.as_str(), s))
-    }
-
-    /// Number of distinct series.
-    pub fn len(&self) -> usize {
-        self.series.len()
-    }
-
-    /// Is the store empty?
-    pub fn is_empty(&self) -> bool {
-        self.series.is_empty()
     }
 
     /// Serialize every series as JSON-lines: one
@@ -247,11 +217,6 @@ impl Sampler {
         self.next_nanos
     }
 
-    /// The sampling cadence in nanoseconds.
-    pub fn every_nanos(&self) -> u64 {
-        self.every_nanos
-    }
-
     /// The underlying store.
     pub fn store(&self) -> &SeriesStore {
         &self.store
@@ -283,9 +248,10 @@ mod tests {
         for i in 0..100u64 {
             s.push(i * 1000, i as f64);
         }
-        assert!(s.len() <= 4, "capacity respected, got {}", s.len());
-        assert_eq!(s.points()[0], (0, 0.0), "first sample survives");
-        assert_eq!(s.last(), Some((99_000, 99.0)), "last sample present");
+        let pts = s.points();
+        assert!(pts.len() <= 4, "capacity respected, got {}", pts.len());
+        assert_eq!(pts[0], (0, 0.0), "first sample survives");
+        assert_eq!(pts.last(), Some(&(99_000, 99.0)), "last sample present");
         assert!(
             s.points().windows(2).all(|w| w[0].0 < w[1].0),
             "timestamps strictly increasing: {:?}",
@@ -337,8 +303,8 @@ mod tests {
     #[test]
     fn sampler_cadence_is_clamped() {
         let mut s = Sampler::new(0, 4);
-        assert_eq!(s.every_nanos(), 1);
         assert_eq!(s.due(0), None);
         assert_eq!(s.due(1), Some(1));
+        assert_eq!(s.due(2), Some(2), "a 1-ns cadence");
     }
 }

@@ -31,8 +31,8 @@ trait Workload {
 /// Four nodes in a line, packets from n0 to n3, every third message on
 /// n1 -> n2 dropped. The first packet always gets through, so each
 /// equivalence class is stored before any of its members is lost; a
-/// dropped first member is a separate, known gap of the Advanced scheme
-/// that this test does not exercise.
+/// dropped first member is a separate, known gap of the Advanced scheme,
+/// pinned by `advanced_survives_loss_of_a_class_first_member`.
 struct LossyLine;
 
 impl Workload for LossyLine {
@@ -307,4 +307,39 @@ fn retain_tuples_off_retains_nothing() {
     // Base tuples stay resolvable: the routes were installed, not retained.
     let route = forwarding::route(src, dst, NodeId(1));
     assert_eq!(rt.tuple_by_vid(src, &route.vid()), Some(&route));
+}
+
+/// An equivalence class whose first member is lost in flight: `htequi`
+/// at n0 already marks the class seen, so the later members arrive with
+/// `existFlag = true` and find no `hmap` entry at n2. The Advanced scheme
+/// must still store, and answer queries for, every delivered execution.
+#[test]
+#[ignore = "ROADMAP item 1: Advanced drops the provenance of a class whose first member is lost"]
+fn advanced_survives_loss_of_a_class_first_member() {
+    let net = topo::line(4, Link::STUB_STUB);
+    let keys = equivalence_keys(&programs::packet_forwarding());
+    let rec = TeeRecorder::new(AdvancedRecorder::new(4, keys), GroundTruthRecorder::new());
+    let mut rt = forwarding::make_runtime(net, rec);
+    let (n0, n2, n3) = (NodeId(0), NodeId(2), NodeId(3));
+    forwarding::install_routes_for_pairs(&mut rt, &[(n0, n3), (n0, n2)]).unwrap();
+    rt.inject_loss(NodeId(1), n2, 2);
+    for (i, dst) in [n3, n2, n2, n2].into_iter().enumerate() {
+        rt.inject(forwarding::packet(n0, n0, dst, format!("c-{i}")))
+            .unwrap();
+    }
+    rt.run().unwrap();
+    assert!(rt.dropped_messages() > 0, "loss was injected");
+    assert!(!rt.outputs().is_empty(), "some packets were delivered");
+    assert_eq!(rt.recorder().primary.hmap_misses(), 0);
+    let ctx = QueryCtx::from_runtime(&rt);
+    for out in rt.outputs() {
+        let res = query_advanced(&ctx, &rt.recorder().primary, &out.tuple, &out.evid)
+            .unwrap_or_else(|e| panic!("query for {} failed: {e}", out.tuple));
+        let truth = rt
+            .recorder()
+            .shadow
+            .tree_for(&out.tuple, &out.evid)
+            .unwrap();
+        assert_eq!(&res.tree, truth, "{}", out.tuple);
+    }
 }

@@ -1,10 +1,12 @@
 //! The telemetry registry agrees with the runtime: every total written
 //! through a metric handle equals the runtime's own count of the same
 //! events, under every provenance scheme, on a lossy forwarding run and
-//! on a DNS run. A handle registered under the wrong metric name, or
-//! indexed by the wrong node, fails here.
+//! on a DNS run. Per-node counts are checked against a recorder that
+//! counts the stage hooks beside the scheme's, so a handle registered
+//! under the wrong metric name, or indexed by the wrong node, fails here.
 
-use dpc::engine::NodeMetrics;
+use dpc::engine::ProvMeta;
+use dpc::ndlog::Rule;
 use dpc::netsim::topo;
 use dpc::prelude::*;
 use dpc::telemetry::counters::INDEX_HITS;
@@ -18,16 +20,64 @@ const SCHEMES: [Scheme; 4] = [
     Scheme::Advanced,
 ];
 
+/// Counts the runtime's stage-1 (`on_input`) and stage-2 (`on_rule`)
+/// hooks per node. It sits beside a scheme in a [`TeeRecorder`] and keeps
+/// no tuples, so retention stays what the scheme asks for.
+struct HookCounts {
+    inputs: Vec<u64>,
+    rules: Vec<u64>,
+}
+
+impl HookCounts {
+    fn new(nodes: usize) -> HookCounts {
+        HookCounts {
+            inputs: vec![0; nodes],
+            rules: vec![0; nodes],
+        }
+    }
+}
+
+impl ProvRecorder for HookCounts {
+    fn on_input(&mut self, node: NodeId, _event: &Tuple, _meta: &mut ProvMeta) {
+        self.inputs[node.index()] += 1;
+    }
+
+    fn on_rule(
+        &mut self,
+        node: NodeId,
+        _rule: &Rule,
+        _event: &Tuple,
+        _slow: &[Tuple],
+        _head: &Tuple,
+        meta: &ProvMeta,
+    ) -> ProvMeta {
+        self.rules[node.index()] += 1;
+        meta.clone()
+    }
+
+    fn on_output(&mut self, _node: NodeId, _output: &Tuple, _meta: &ProvMeta) {}
+
+    fn storage_at(&self, _node: NodeId) -> usize {
+        0
+    }
+
+    fn retains_intermediates(&self) -> bool {
+        false
+    }
+}
+
+type Counted = TeeRecorder<Box<dyn ProvRecorder>, HookCounts>;
+
+fn counted(scheme: Scheme, delp: &Delp, nodes: usize) -> Counted {
+    TeeRecorder::new(scheme.recorder(delp, nodes), HookCounts::new(nodes))
+}
+
 /// Per-node counter `name` as the registry holds it, 0 where never written.
 fn by_node(t: &TelemetryHandle, name: &str, node: NodeId) -> u64 {
     t.counter_by_node(name).get(&node.0).copied().unwrap_or(0)
 }
 
-fn assert_registry_matches_runtime<R: ProvRecorder>(
-    rt: &Runtime<R>,
-    t: &TelemetryHandle,
-    scheme: Scheme,
-) {
+fn assert_registry_matches_runtime(rt: &Runtime<Counted>, t: &TelemetryHandle, scheme: Scheme) {
     let ctx = format!("{scheme:?}");
     let m = rt.metrics();
     assert!(
@@ -39,7 +89,6 @@ fn assert_registry_matches_runtime<R: ProvRecorder>(
         m.rules_fired,
         "{ctx}"
     );
-    assert_eq!(t.counter_total("engine.outputs"), m.outputs, "{ctx}");
     assert_eq!(t.counter_total(INDEX_HITS), m.index_hits, "{ctx}");
     assert_eq!(
         t.counter_total("net.msgs_sent"),
@@ -51,22 +100,15 @@ fn assert_registry_matches_runtime<R: ProvRecorder>(
         m.dropped_messages,
         "{ctx}"
     );
+    let hooks = &rt.recorder().shadow;
+    assert_eq!(hooks.rules.iter().sum::<u64>(), m.rules_fired, "{ctx}");
     let htequi =
         t.counter_total("recorder.htequi_hits") + t.counter_total("recorder.htequi_misses");
-    let mut inputs = 0;
     for node in rt.net().nodes() {
-        let own: NodeMetrics = rt.node_metrics(node);
-        inputs += own.inputs;
         let at = format!("{ctx} at {node}");
         assert_eq!(
             by_node(t, "engine.rules_fired", node),
-            own.rules_fired,
-            "{at}"
-        );
-        assert_eq!(by_node(t, "engine.outputs", node), own.outputs, "{at}");
-        assert_eq!(
-            by_node(t, "engine.events_handled", node),
-            own.events_handled,
+            hooks.rules[node.index()],
             "{at}"
         );
         if scheme == Scheme::Advanced {
@@ -74,11 +116,11 @@ fn assert_registry_matches_runtime<R: ProvRecorder>(
             // at the node it entered.
             let checks = by_node(t, "recorder.htequi_hits", node)
                 + by_node(t, "recorder.htequi_misses", node);
-            assert_eq!(checks, own.inputs, "{at}");
+            assert_eq!(checks, hooks.inputs[node.index()], "{at}");
         }
     }
     let expected_checks = if scheme == Scheme::Advanced {
-        inputs
+        hooks.inputs.iter().sum()
     } else {
         0
     };
@@ -93,7 +135,7 @@ fn lossy_forwarding_registry_matches_runtime() {
     let n = ts.net.node_count();
     for scheme in SCHEMES {
         let t = Telemetry::handle();
-        let recorder = scheme.recorder(&programs::packet_forwarding(), n);
+        let recorder = counted(scheme, &programs::packet_forwarding(), n);
         let mut rt = forwarding::make_runtime(ts.net.clone(), recorder);
         rt.attach_telemetry(t.clone());
         forwarding::install_routes_for_pairs(&mut rt, &pairs).unwrap();
@@ -127,7 +169,7 @@ fn dns_registry_matches_runtime() {
     let n = tree.net.node_count();
     for scheme in SCHEMES {
         let t = Telemetry::handle();
-        let recorder = scheme.recorder(&programs::dns_resolution(), n);
+        let recorder = counted(scheme, &programs::dns_resolution(), n);
         let mut rt = dns::make_runtime(&tree, recorder);
         rt.attach_telemetry(t.clone());
         let dep = dns::deploy(&mut rt, &tree, 40, &[tree.root]).unwrap();
