@@ -43,7 +43,7 @@ pub fn admit_along_path<R: ProvRecorder>(
     src: NodeId,
     dst: NodeId,
 ) -> Result<()> {
-    let path = rt.net().path_by_hops(src, dst)?;
+    let path = rt.net().hop_tree(src)?.path(dst)?;
     for w in path.windows(2) {
         rt.install(acl(w[0], src))?;
     }

@@ -56,14 +56,22 @@ pub fn install_routes_for_pairs<R: ProvRecorder>(
     rt: &mut Runtime<R>,
     pairs: &[(NodeId, NodeId)],
 ) -> Result<()> {
-    // Collect first: route tables must not depend on install order, and
-    // duplicate (loc, dst) entries across overlapping pairs are fine (the
-    // engine's tables dedup) as long as the next hop is consistent, which
-    // it is because paths come from the same deterministic shortest-path
-    // computation.
+    // One hop tree per distinct source, dropped once that source's pairs
+    // have their paths. Paths land in pair order and are collected before
+    // anything is installed: duplicate (loc, dst) entries across
+    // overlapping pairs are fine (the engine's tables dedup) because every
+    // path comes from the same deterministic shortest-path computation.
+    let mut by_src: Vec<usize> = (0..pairs.len()).collect();
+    by_src.sort_by_key(|&i| pairs[i].0);
+    let mut paths = vec![Vec::new(); pairs.len()];
+    for run in by_src.chunk_by(|&i, &j| pairs[i].0 == pairs[j].0) {
+        let tree = rt.net().hop_tree(pairs[run[0]].0)?;
+        for &i in run {
+            paths[i] = tree.path(pairs[i].1)?;
+        }
+    }
     let mut routes = Vec::new();
-    for &(s, d) in pairs {
-        let path = rt.net().path_by_hops(s, d)?;
+    for (path, &(_, d)) in paths.iter().zip(pairs) {
         for w in path.windows(2) {
             routes.push(route(w[0], d, w[1]));
         }

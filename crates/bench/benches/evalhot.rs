@@ -7,17 +7,21 @@
 //! computed only when asked for), `Database::retain` against
 //! `Database::insert` for a delivered packet, and the telemetry writes
 //! the runtime makes per message (a metric-handle increment, the due check
-//! when nothing is due, an unsampled child span with an attribute).
+//! when nothing is due, an unsampled child span with an attribute), and
+//! the network layer on the 972-node forwarding topology: a `Network`
+//! clone (every query takes one), a routed path read from the shared
+//! latency trees, and one full per-source tree build.
 //!
 //! Runs on the in-tree `dpc_bench::microbench` harness (offline builds
 //! carry no criterion); enable with `--features microbench`.
 
 use dpc_bench::microbench::Bench;
 use dpc_common::hash::sha1_portable;
-use dpc_common::{sha1, NodeId, Tuple, Value};
+use dpc_common::{sha1, NodeId, Rng, SeededRng, Tuple, Value};
 use dpc_engine::plan::{EvalStats, RulePlan};
 use dpc_engine::{eval_rule, Database, FnRegistry, Table};
 use dpc_ndlog::programs;
+use dpc_netsim::topo;
 use dpc_telemetry::{AttrValue, SpanContext, Telemetry};
 use std::hint::black_box;
 
@@ -236,6 +240,45 @@ fn main() {
         t.span_attr(s, "rel", || AttrValue::Str(rel.rel().to_string()));
         t.span_end(s, 1);
         s
+    });
+
+    // The network layer on dpcbench's forwarding topology (972 nodes,
+    // topology seed 42). Clones share the topology and the route trees;
+    // a path read walks a tree the warm-up already built.
+    let ts = topo::transit_stub(
+        &mut SeededRng::seed_from_u64(42),
+        &topo::TransitStubParams {
+            transit_nodes: 12,
+            stub_domains_per_transit: 5,
+            stub_nodes_per_domain: 16,
+            ..Default::default()
+        },
+    );
+    let net = ts.net;
+    b.bench("network_clone_972", || black_box(&net).clone());
+    let (a, c) = (ts.stub[0], ts.stub[1]);
+    assert!(
+        net.link(a, c).is_some(),
+        "the first two stub nodes are neighbours"
+    );
+    b.bench("path_by_latency_cached_972_neighbour", || {
+        net.path_by_latency(black_box(a), black_box(c)).unwrap()
+    });
+    let mut rng = SeededRng::seed_from_u64(1);
+    let mut pick = || ts.stub[rng.random_range(0..ts.stub.len() as u64) as usize];
+    let pairs: Vec<(NodeId, NodeId)> = (0..64).map(|_| (pick(), pick())).collect();
+    let mut i = 0;
+    b.bench("path_by_latency_cached_972_random", || {
+        i = (i + 1) % pairs.len();
+        let (s, d) = pairs[i];
+        net.path_by_latency(black_box(s), black_box(d)).unwrap()
+    });
+    // The Dijkstra every route tree runs; hop trees are built afresh on
+    // each call, so this is the cost of one source's tree.
+    let mut src = 0u32;
+    b.bench("route_tree_build_972", || {
+        src = (src + 1) % net.node_count() as u32;
+        net.hop_tree(black_box(NodeId(src))).unwrap()
     });
 
     b.finish();

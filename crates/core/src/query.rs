@@ -867,7 +867,11 @@ mod tests {
             if node == querier {
                 return SimTime::ZERO;
             }
-            let bps = net.path_bottleneck_bps(querier, node).unwrap();
+            let bps = net
+                .latency_tree(querier)
+                .unwrap()
+                .bottleneck_bps(node)
+                .unwrap();
             SimTime::from_nanos((bytes as u128 * 8 * 1_000_000_000 / bps as u128) as u64)
         }
 
@@ -879,7 +883,7 @@ mod tests {
             let (mut latency, mut transfer) = (ctx.cost.per_row_proc, SimTime::ZERO);
             let (mut cur, mut next, mut levels) = (querier, Some((prov.rloc, prov.rid)), 0);
             while let Some((loc, rid)) = next {
-                latency += ctx.net.path_latency(cur, loc).unwrap();
+                latency += ctx.net.latency_tree(cur).unwrap().latency(loc).unwrap();
                 cur = loc;
                 let view = rec.rule_exec(loc, &rid).unwrap();
                 let row = 4 + 20 + (4 + view.rule.len()) + 4 + view.vids.len() * 20;
@@ -899,7 +903,10 @@ mod tests {
                 next = view.next;
             }
             let reexec = SimTime::from_nanos(ctx.cost.reexec_per_rule.as_nanos() * levels);
-            latency + ctx.net.path_latency(cur, querier).unwrap() + transfer + reexec
+            latency
+                + ctx.net.latency_tree(cur).unwrap().latency(querier).unwrap()
+                + transfer
+                + reexec
         }
 
         /// ExSPAN's rounds: per level, a round trip from the querier that
@@ -917,7 +924,7 @@ mod tests {
                     items.push(rec.prov_row(loc, v).unwrap().storage_size());
                     items.push(ctx.resolver.tuple_by_vid(loc, v).unwrap().storage_size());
                 }
-                let one_way = ctx.net.path_latency(querier, loc).unwrap();
+                let one_way = ctx.net.latency_tree(querier).unwrap().latency(loc).unwrap();
                 latency += one_way + one_way;
                 for bytes in items {
                     latency += ctx.cost.per_row_proc + ship(ctx.net, querier, loc, bytes);

@@ -11,6 +11,14 @@
 //! forwarding, Section 6.1) and a hierarchical nameserver tree (DNS,
 //! Section 6.2).
 //!
+//! A [`Network`] is cheap to clone: clones share the topology and its
+//! route table, one latency shortest-path tree per source, each built by
+//! one Dijkstra on first use. Routed sends read those trees, so a query
+//! that wraps the network in a fresh [`Sim`] routes over the trees every
+//! earlier run already built. Mutation is copy-on-write: it copies the
+//! topology if a clone shares it and starts the mutated network on an
+//! empty route table.
+//!
 //! The simulator is generic over the message type `M`, so the declarative
 //! networking engine layers its tuples (and the provenance query engine its
 //! fetch requests) on top without this crate knowing about either.
@@ -23,7 +31,7 @@ pub mod time;
 pub mod topo;
 
 pub use link::Link;
-pub use network::Network;
+pub use network::{Network, PathTree};
 pub use sim::Sim;
 pub use stats::TrafficStats;
 pub use time::SimTime;

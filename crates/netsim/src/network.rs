@@ -1,18 +1,59 @@
-//! The network topology: nodes, links and shortest paths.
+//! The network topology: nodes, links and shortest-path trees.
 
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use dpc_common::{Error, NodeId, Result};
 
 use crate::link::Link;
 use crate::time::SimTime;
 
+/// The predecessor of a node a shortest-path tree does not reach.
+const UNREACHED: u32 = u32::MAX;
+
 /// An undirected network of point-to-point links.
-#[derive(Debug, Clone, Default)]
+///
+/// Clones share the topology and its latency route table, so a clone
+/// costs two reference-count increments and routes with the trees any
+/// other clone already built. Mutation ([`Network::add_node`],
+/// [`Network::add_link`]) copies the adjacency on write if a clone
+/// still shares it, and gives the mutated network a fresh, empty route
+/// table; every other clone keeps its topology and its trees.
+#[derive(Clone, Default)]
 pub struct Network {
     /// adjacency list per node: (neighbor, link).
-    adj: Vec<Vec<(NodeId, Link)>>,
+    adj: Arc<Vec<Vec<(NodeId, Link)>>>,
+    /// Latency shortest-path trees of this topology, one per source.
+    routes: Arc<RouteTable>,
+}
+
+/// One lazily built latency tree (a predecessor array) per source; the
+/// slot array itself is sized to the node count on first use, so
+/// building a topology link by link allocates nothing here.
+#[derive(Default)]
+struct RouteTable {
+    by_src: OnceLock<Box<[OnceLock<Preds>]>>,
+}
+
+/// A shortest-path tree's predecessor array, indexed by node.
+type Preds = Box<[u32]>;
+
+impl fmt::Debug for Network {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Network")
+            .field("nodes", &self.node_count())
+            .field("links", &self.link_count())
+            .finish_non_exhaustive()
+    }
+}
+
+/// The cost of a link when routing by latency. Zero-latency links cost
+/// one nanosecond so that fewer hops win ties.
+fn latency_cost(link: &Link) -> u64 {
+    link.latency.as_nanos().max(1)
 }
 
 impl Network {
@@ -24,14 +65,17 @@ impl Network {
     /// Create a network with `n` isolated nodes.
     pub fn with_nodes(n: usize) -> Network {
         Network {
-            adj: vec![Vec::new(); n],
+            adj: Arc::new(vec![Vec::new(); n]),
+            routes: Arc::default(),
         }
     }
 
     /// Add a node, returning its id.
     pub fn add_node(&mut self) -> NodeId {
-        self.adj.push(Vec::new());
-        NodeId(self.adj.len() as u32 - 1)
+        self.routes = Arc::default();
+        let adj = Arc::make_mut(&mut self.adj);
+        adj.push(Vec::new());
+        NodeId(adj.len() as u32 - 1)
     }
 
     /// Number of nodes.
@@ -54,8 +98,10 @@ impl Network {
         if self.link(a, b).is_some() {
             return Err(Error::Network(format!("duplicate link {a}-{b}")));
         }
-        self.adj[a.index()].push((b, link));
-        self.adj[b.index()].push((a, link));
+        self.routes = Arc::default();
+        let adj = Arc::make_mut(&mut self.adj);
+        adj[a.index()].push((b, link));
+        adj[b.index()].push((a, link));
         Ok(())
     }
 
@@ -85,17 +131,47 @@ impl Network {
         self.adj.iter().map(Vec::len).sum::<usize>() / 2
     }
 
+    /// The latency-shortest-path tree rooted at `src`: the routes every
+    /// [`crate::Sim::send_routed`] follows. Built by one Dijkstra on
+    /// first use and kept for the life of the topology, shared by every
+    /// clone.
+    pub fn latency_tree(&self, src: NodeId) -> Result<PathTree<'_>> {
+        self.check(src)?;
+        let slots = self
+            .routes
+            .by_src
+            .get_or_init(|| (0..self.adj.len()).map(|_| OnceLock::new()).collect());
+        let pred = slots[src.index()].get_or_init(|| self.tree(src, latency_cost));
+        Ok(PathTree {
+            net: self,
+            src,
+            pred: Cow::Borrowed(pred),
+        })
+    }
+
+    /// The hop-count shortest-path tree rooted at `src`, built afresh and
+    /// owned by the caller: installing the paper's precomputed `route`
+    /// tables asks for each source's tree once.
+    pub fn hop_tree(&self, src: NodeId) -> Result<PathTree<'_>> {
+        self.check(src)?;
+        Ok(PathTree {
+            net: self,
+            src,
+            pred: Cow::Owned(self.tree(src, |_| 1).into_vec()),
+        })
+    }
+
     /// Shortest path from `src` to `dst` minimizing hop count.
     ///
     /// Returns the node sequence including both endpoints, or an error if
     /// disconnected. Used to install the paper's precomputed `route` tables.
     pub fn path_by_hops(&self, src: NodeId, dst: NodeId) -> Result<Vec<NodeId>> {
-        self.shortest_path(src, dst, |_| 1)
+        self.hop_tree(src)?.path(dst)
     }
 
     /// Shortest path from `src` to `dst` minimizing summed link latency.
     pub fn path_by_latency(&self, src: NodeId, dst: NodeId) -> Result<Vec<NodeId>> {
-        self.shortest_path(src, dst, |l| l.latency.as_nanos().max(1))
+        self.latency_tree(src)?.path(dst)
     }
 
     /// One-way latency along the latency-shortest path — the cost model for
@@ -105,15 +181,7 @@ impl Network {
         if src == dst {
             return Ok(SimTime::ZERO);
         }
-        let path = self.path_by_latency(src, dst)?;
-        let mut total = SimTime::ZERO;
-        for w in path.windows(2) {
-            total += self
-                .link(w[0], w[1])
-                .expect("path consists of adjacent nodes")
-                .latency;
-        }
-        Ok(total)
+        self.latency_tree(src)?.latency(dst)
     }
 
     /// The minimum bandwidth along the latency-shortest path, used to model
@@ -122,14 +190,41 @@ impl Network {
         if src == dst {
             return Ok(u64::MAX);
         }
-        let path = self.path_by_latency(src, dst)?;
-        Ok(path
-            .windows(2)
-            .map(|w| self.link(w[0], w[1]).expect("adjacent").bandwidth_bps)
-            .min()
-            .expect("path has at least one hop"))
+        self.latency_tree(src)?.bottleneck_bps(dst)
     }
 
+    /// Dijkstra from `src` over the whole graph: each node's predecessor
+    /// on its cheapest path, [`UNREACHED`] where there is none, and `src`
+    /// for `src` itself. The heap pops `(distance, node id)` pairs in
+    /// ascending order, so every node an early-exit search towards any
+    /// destination settles gets the same predecessor here.
+    fn tree(&self, src: NodeId, cost: impl Fn(&Link) -> u64) -> Preds {
+        let n = self.adj.len();
+        let mut dist = vec![u64::MAX; n];
+        let mut pred = vec![UNREACHED; n];
+        let mut heap = BinaryHeap::new();
+        dist[src.index()] = 0;
+        pred[src.index()] = src.0;
+        heap.push(Reverse((0u64, src.0)));
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if d > dist[u as usize] {
+                continue;
+            }
+            for (v, link) in &self.adj[u as usize] {
+                let nd = d + cost(link);
+                if nd < dist[v.index()] {
+                    dist[v.index()] = nd;
+                    pred[v.index()] = u;
+                    heap.push(Reverse((nd, v.0)));
+                }
+            }
+        }
+        pred.into_boxed_slice()
+    }
+
+    /// The early-exit Dijkstra the route trees replaced, kept as the
+    /// differential tests' oracle.
+    #[cfg(test)]
     fn shortest_path(
         &self,
         src: NodeId,
@@ -258,6 +353,84 @@ impl Network {
     }
 }
 
+/// A shortest-path tree rooted at one source: every node's predecessor
+/// on its path from the source. Reads walk the predecessor chain back
+/// from the destination, so they cost one step per hop.
+#[derive(Clone)]
+pub struct PathTree<'a> {
+    net: &'a Network,
+    src: NodeId,
+    pred: Cow<'a, [u32]>,
+}
+
+impl fmt::Debug for PathTree<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PathTree")
+            .field("src", &self.src)
+            .finish_non_exhaustive()
+    }
+}
+
+impl PathTree<'_> {
+    /// The path from the root to `dst`, both endpoints included.
+    pub fn path(&self, dst: NodeId) -> Result<Vec<NodeId>> {
+        let mut path = Vec::new();
+        self.path_into(dst, &mut path)?;
+        Ok(path)
+    }
+
+    /// [`PathTree::path`] written into `path`, which is cleared first, so
+    /// a caller routing many messages reuses one buffer.
+    pub(crate) fn path_into(&self, dst: NodeId, path: &mut Vec<NodeId>) -> Result<()> {
+        path.clear();
+        path.extend(self.back_from(dst)?);
+        path.reverse();
+        Ok(())
+    }
+
+    /// Summed link latency along the path to `dst`.
+    pub fn latency(&self, dst: NodeId) -> Result<SimTime> {
+        let mut total = SimTime::ZERO;
+        for link in self.links_back(dst)? {
+            total += link.latency;
+        }
+        Ok(total)
+    }
+
+    /// The minimum bandwidth along the path to `dst` (`u64::MAX` for the
+    /// root itself).
+    pub fn bottleneck_bps(&self, dst: NodeId) -> Result<u64> {
+        Ok(self
+            .links_back(dst)?
+            .map(|link| link.bandwidth_bps)
+            .min()
+            .unwrap_or(u64::MAX))
+    }
+
+    /// The path's nodes from `dst` back to the root, both included.
+    fn back_from(&self, dst: NodeId) -> Result<impl Iterator<Item = NodeId> + Clone + '_> {
+        match self.pred.get(dst.index()) {
+            None => Err(Error::Network(format!("unknown node {dst}"))),
+            Some(&UNREACHED) => Err(Error::Network(format!(
+                "{} and {dst} are disconnected",
+                self.src
+            ))),
+            Some(_) => Ok(std::iter::successors(Some(dst), move |&v| {
+                (v != self.src).then_some(NodeId(self.pred[v.index()]))
+            })),
+        }
+    }
+
+    /// The links the path to `dst` crosses, from `dst` back to the root.
+    fn links_back(&self, dst: NodeId) -> Result<impl Iterator<Item = Link> + '_> {
+        let nodes = self.back_from(dst)?;
+        Ok(nodes
+            .clone()
+            .zip(nodes.skip(1))
+            .map(|(v, u)| self.net.link(u, v).expect("tree edges are links")))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,5 +541,171 @@ mod tests {
             .unwrap();
         assert_eq!(net.path_bottleneck_bps(n(0), n(2)).unwrap(), 10);
         assert_eq!(net.path_bottleneck_bps(n(1), n(1)).unwrap(), u64::MAX);
+    }
+
+    /// A seeded random network: a spanning forest over `n` nodes (the
+    /// last node left isolated, so some pairs are disconnected) plus
+    /// chords, with latencies drawn from a few values so equal-cost
+    /// paths and heap ties are common.
+    fn random_network(rng: &mut dpc_common::SeededRng, n: usize) -> Network {
+        use dpc_common::Rng;
+        let mut net = Network::with_nodes(n);
+        let link = |rng: &mut dpc_common::SeededRng| {
+            Link::new(
+                SimTime::from_millis(rng.random_range(0..4u64)),
+                rng.random_range(1..4u64) * 1_000_000,
+            )
+        };
+        for i in 1..n - 1 {
+            let p = rng.random_range(0..i as u64) as u32;
+            net.add_link(NodeId(i as u32), NodeId(p), link(rng))
+                .unwrap();
+        }
+        for _ in 0..n {
+            let a = NodeId(rng.random_range(0..n as u64 - 1) as u32);
+            let b = NodeId(rng.random_range(0..n as u64 - 1) as u32);
+            if a != b && net.link(a, b).is_none() {
+                net.add_link(a, b, link(rng)).unwrap();
+            }
+        }
+        net
+    }
+
+    /// Every path read from the route trees, from each of `sources` to
+    /// every node, equals the early-exit oracle's: the latency tree
+    /// through the `Network` reads, the hop tree directly. Latency and
+    /// bottleneck sum over the oracle's path.
+    fn assert_trees_match_oracle(net: &Network, sources: impl Iterator<Item = NodeId>) {
+        for s in sources {
+            let hops = net.hop_tree(s).unwrap();
+            for d in net.nodes() {
+                let want = net.shortest_path(s, d, latency_cost);
+                assert_eq!(net.path_by_latency(s, d), want, "latency {s}->{d}");
+                assert_eq!(
+                    hops.path(d),
+                    net.shortest_path(s, d, |_| 1),
+                    "hops {s}->{d}"
+                );
+                let Ok(path) = want else {
+                    assert!(net.path_latency(s, d).is_err());
+                    continue;
+                };
+                let links: Vec<Link> = path
+                    .windows(2)
+                    .map(|w| net.link(w[0], w[1]).unwrap())
+                    .collect();
+                let total = links.iter().fold(SimTime::ZERO, |t, l| t + l.latency);
+                let bottleneck = links.iter().map(|l| l.bandwidth_bps).min();
+                assert_eq!(net.path_latency(s, d).unwrap(), total);
+                assert_eq!(
+                    net.path_bottleneck_bps(s, d).unwrap(),
+                    bottleneck.unwrap_or(u64::MAX)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn trees_match_oracle_on_random_networks() {
+        for seed in 0..8 {
+            let mut rng = dpc_common::SeededRng::seed_from_u64(0x15_000 + seed);
+            let net = random_network(&mut rng, 40);
+            assert!(!net.is_connected());
+            assert_trees_match_oracle(&net, net.nodes());
+        }
+    }
+
+    #[test]
+    fn trees_match_oracle_on_transit_stub() {
+        let ts = crate::topo::transit_stub(
+            &mut dpc_common::SeededRng::seed_from_u64(7),
+            &crate::topo::TransitStubParams::default(),
+        );
+        assert_eq!(ts.net.node_count(), 100);
+        assert_trees_match_oracle(&ts.net, ts.net.nodes());
+    }
+
+    /// Every how many sources of the bench topology the differential
+    /// test routes from: each source costs ~1 s of oracle searches in a
+    /// debug build, ~40 ms in a release one.
+    const STRIDE: usize = if cfg!(debug_assertions) { 243 } else { 7 };
+
+    /// The dpcbench forwarding topology (972 nodes, its topology seed
+    /// 42), every destination from a spread of sources.
+    #[test]
+    fn trees_match_oracle_on_bench_topology() {
+        let ts = crate::topo::transit_stub(
+            &mut dpc_common::SeededRng::seed_from_u64(42),
+            &crate::topo::TransitStubParams {
+                transit_nodes: 12,
+                stub_domains_per_transit: 5,
+                stub_nodes_per_domain: 16,
+                ..Default::default()
+            },
+        );
+        assert_eq!(ts.net.node_count(), 972);
+        assert_trees_match_oracle(&ts.net, ts.net.nodes().step_by(STRIDE));
+    }
+
+    #[test]
+    fn unknown_nodes_error_like_the_oracle() {
+        let net = line_with_shortcut();
+        for (s, d) in [(n(0), n(9)), (n(9), n(0)), (n(9), n(9))] {
+            let want = net.shortest_path(s, d, latency_cost);
+            assert_eq!(want, Err(Error::Network("unknown node n9".into())));
+            assert_eq!(net.path_by_latency(s, d), want);
+            assert_eq!(net.path_by_hops(s, d), want);
+        }
+        assert!(net.path_latency(n(0), n(9)).is_err());
+        assert!(net.path_bottleneck_bps(n(9), n(0)).is_err());
+        // A pair with equal endpoints is free without consulting the
+        // topology, as before the route trees.
+        assert_eq!(net.path_latency(n(9), n(9)).unwrap(), SimTime::ZERO);
+    }
+
+    #[test]
+    fn clones_share_route_trees() {
+        let net = line_with_shortcut();
+        let early = net.clone();
+        let built = net.latency_tree(n(0)).unwrap();
+        let late = net.clone();
+        for other in [&early, &late] {
+            assert!(Arc::ptr_eq(&net.adj, &other.adj));
+            let shared = other.latency_tree(n(0)).unwrap();
+            assert!(std::ptr::eq(&*built.pred, &*shared.pred));
+        }
+        // Hop trees are built afresh for their caller.
+        let hops = net.hop_tree(n(0)).unwrap();
+        assert!(matches!(hops.pred, Cow::Owned(_)));
+    }
+
+    #[test]
+    fn mutating_a_clone_copies_on_write() {
+        let net = line_with_shortcut();
+        let slow_path = vec![n(0), n(1), n(2)];
+        assert_eq!(net.path_by_latency(n(0), n(2)).unwrap(), slow_path);
+        let mut clone = net.clone();
+        let fast = Link::new(SimTime::from_millis(1), 1_000_000);
+        clone.add_link(n(0), n(2), fast).unwrap();
+        assert!(!Arc::ptr_eq(&net.adj, &clone.adj));
+        assert!(!Arc::ptr_eq(&net.routes, &clone.routes));
+        assert_eq!(clone.path_by_latency(n(0), n(2)).unwrap(), vec![n(0), n(2)]);
+        assert_eq!(net.path_by_latency(n(0), n(2)).unwrap(), slow_path);
+        assert_eq!((net.link_count(), clone.link_count()), (4, 5));
+        let added = clone.add_node();
+        assert_eq!(
+            clone.path_by_latency(n(0), added),
+            Err(Error::Network(format!("n0 and {added} are disconnected")))
+        );
+        assert_eq!(net.node_count(), 4);
+    }
+
+    #[test]
+    fn debug_prints_counts_not_tables() {
+        let net = line_with_shortcut();
+        net.latency_tree(n(0)).unwrap();
+        assert_eq!(format!("{net:?}"), "Network { nodes: 4, links: 4, .. }");
+        let tree = net.latency_tree(n(0)).unwrap();
+        assert_eq!(format!("{tree:?}"), "PathTree { src: n0, .. }");
     }
 }

@@ -92,6 +92,8 @@ pub struct Sim<M> {
     stats: TrafficStats,
     telemetry: Option<TelemetryHandle>,
     metrics: Option<NetMetrics>,
+    /// The path of the routed send in flight, reused across sends.
+    route: Vec<NodeId>,
 }
 
 impl<M> Sim<M> {
@@ -109,6 +111,7 @@ impl<M> Sim<M> {
             stats: TrafficStats::new(),
             telemetry: None,
             metrics: None,
+            route: Vec::new(),
         }
     }
 
@@ -331,7 +334,25 @@ impl<M> Sim<M> {
             self.push(at, dst, msg, ctx);
             return Ok(at);
         }
-        let path = self.net.path_by_latency(src, dst)?;
+        let mut path = std::mem::take(&mut self.route);
+        let sent = self
+            .net
+            .latency_tree(src)
+            .and_then(|tree| tree.path_into(dst, &mut path))
+            .and_then(|()| self.send_along(&path, bytes, msg, ctx));
+        self.route = path;
+        sent
+    }
+
+    /// Carry `msg` hop by hop along `path` (at least two nodes), starting
+    /// now; see [`Sim::send_routed_traced`].
+    fn send_along(
+        &mut self,
+        path: &[NodeId],
+        bytes: usize,
+        msg: M,
+        ctx: SpanContext,
+    ) -> Result<SimTime> {
         let mut t = self.now;
         let mut carried = ctx;
         for w in path.windows(2) {
@@ -344,7 +365,7 @@ impl<M> Sim<M> {
                 return Ok(t);
             }
         }
-        self.push(t, dst, msg, carried);
+        self.push(t, path[path.len() - 1], msg, carried);
         Ok(t)
     }
 

@@ -50,7 +50,8 @@ fn paths_are_valid_walks() {
         for a in 0..n {
             for b in 0..n {
                 let (a, b) = (NodeId(a), NodeId(b));
-                let path = net.path_by_latency(a, b).unwrap();
+                let tree = net.latency_tree(a).unwrap();
+                let path = tree.path(b).unwrap();
                 assert_eq!(path[0], a);
                 assert_eq!(*path.last().unwrap(), b);
                 let mut total = SimTime::ZERO;
@@ -59,7 +60,7 @@ fn paths_are_valid_walks() {
                     assert!(link.is_some(), "non-adjacent hop");
                     total += link.unwrap().latency;
                 }
-                assert_eq!(net.path_latency(a, b).unwrap(), total);
+                assert_eq!(tree.latency(b).unwrap(), total);
             }
         }
     }
@@ -72,7 +73,12 @@ fn latency_is_a_metric() {
         let mut rng = SeededRng::seed_from_u64(0x12_000 + case);
         let net = random_network(&mut rng);
         let n = net.node_count() as u32;
-        let d = |a: u32, b: u32| net.path_latency(NodeId(a), NodeId(b)).unwrap();
+        let d = |a: u32, b: u32| {
+            net.latency_tree(NodeId(a))
+                .unwrap()
+                .latency(NodeId(b))
+                .unwrap()
+        };
         for a in 0..n {
             assert_eq!(d(a, a), SimTime::ZERO);
             for b in 0..n {
@@ -93,10 +99,11 @@ fn hop_paths_minimize_hops() {
         let net = random_network(&mut rng);
         let n = net.node_count() as u32;
         for a in 0..n {
+            let by_hops = net.hop_tree(NodeId(a)).unwrap();
+            let by_latency = net.latency_tree(NodeId(a)).unwrap();
             for b in 0..n {
-                let (a, b) = (NodeId(a), NodeId(b));
-                let hops = net.path_by_hops(a, b).unwrap().len();
-                let lat = net.path_by_latency(a, b).unwrap().len();
+                let hops = by_hops.path(NodeId(b)).unwrap().len();
+                let lat = by_latency.path(NodeId(b)).unwrap().len();
                 assert!(hops <= lat);
             }
         }
