@@ -1,6 +1,8 @@
 //! Micro-benchmarks for the evaluation hot path introduced by the
 //! compiled-plan work: naive AST interpretation vs [`RulePlan`]
-//! evaluation across table sizes, secondary-index probes vs full scans,
+//! evaluation across table sizes, DNS resolution's `r2` (one index probe
+//! matching every child zone, then `f_isSubDomain` per match),
+//! secondary-index probes vs full scans,
 //! `Table` insert/remove, one compiled evaluation of a packet carrying a
 //! 500-B payload, SHA-1 over 4 KiB on the dispatching and the portable
 //! kernel, the cached `Tuple::vid` and `Tuple::evid` digests (each
@@ -15,6 +17,7 @@
 //! Runs on the in-tree `dpc_bench::microbench` harness (offline builds
 //! carry no criterion); enable with `--features microbench`.
 
+use dpc_apps::dns::is_sub_domain;
 use dpc_bench::microbench::Bench;
 use dpc_common::hash::sha1_portable;
 use dpc_common::{sha1, NodeId, Rng, SeededRng, Tuple, Value};
@@ -101,25 +104,72 @@ fn main() {
             .unwrap()
     });
 
+    // DNS resolution's r2: a `request` at a nameserver with `k` child
+    // zones. Every `nameServer` row matches the (loc) index probe, and
+    // `f_isSubDomain` filters all but the one zone holding the URL: the
+    // multi-match and function-call path.
+    let dns = programs::dns_resolution();
+    let r2 = dns.program().rule("r2").expect("the DNS program has r2");
+    let r2_plan = RulePlan::compile(r2).expect("r2 compiles");
+    let mut dns_fns = FnRegistry::new();
+    dns_fns.register("f_isSubDomain", |args: &[Value]| {
+        let (Some(dm), Some(url)) = (args[0].as_str(), args[1].as_str()) else {
+            return Err(dpc_common::Error::Eval(
+                "f_isSubDomain expects strings".into(),
+            ));
+        };
+        Ok(Value::Bool(is_sub_domain(dm, url)))
+    });
+    for k in [4u32, 16] {
+        let mut db = Database::new();
+        for c in 0..k {
+            db.insert(Tuple::new(
+                "nameServer",
+                vec![
+                    Value::Addr(NodeId(1)),
+                    Value::str(format!("zone{c}.example.com")),
+                    Value::Addr(NodeId(100 + c)),
+                ],
+            ));
+        }
+        let request = Tuple::new(
+            "request",
+            vec![
+                Value::Addr(NodeId(1)),
+                Value::str(format!("www.zone{}.example.com", k / 2)),
+                Value::Addr(NodeId(0)),
+                Value::Int(7),
+            ],
+        );
+        let mut stats = EvalStats::default();
+        let warm = r2_plan
+            .eval(&request, &mut db, &dns_fns, &mut stats)
+            .unwrap();
+        assert_eq!(warm.len(), 1, "exactly one child zone holds the URL");
+        b.bench(&format!("eval_dns_r2_{k}"), || {
+            let mut stats = EvalStats::default();
+            r2_plan
+                .eval(black_box(&request), &mut db, &dns_fns, &mut stats)
+                .unwrap()
+        });
+    }
+
     // SHA-1 throughput: the kernel this CPU dispatches to (SHA-NI where
     // present) against the portable one.
     let block_4k: Vec<u8> = (0..4096u32).map(|i| i as u8).collect();
     b.bench("sha1_4kib", || sha1(black_box(&block_4k)));
     b.bench("sha1_4kib_portable", || sha1_portable(black_box(&block_4k)));
 
-    // Index probe vs the scan it replaces, on the bare table.
+    // Index probe vs the scan it replaces, on the bare table: one bucket
+    // lookup by the key values' hash, then the key re-check of its row.
     let mut table = Table::new();
     for d in 0..4096u32 {
         table.insert(route(1, d, d + 1));
     }
-    table.ensure_index(&[0, 1]);
-    let mut key = Vec::new();
-    Value::Addr(NodeId(1)).encode_into(&mut key);
-    Value::Addr(NodeId(7)).encode_into(&mut key);
+    let index = table.index(&[0, 1]).expect("route rows cover (loc, dst)");
+    let key = [Value::Addr(NodeId(1)), Value::Addr(NodeId(7))];
     b.bench("table_probe_indexed_4096", || {
-        table
-            .probe(black_box(&[0, 1]), black_box(&key))
-            .map(|it| it.count())
+        index.probe(black_box(&key)).count()
     });
     let target = route(1, 7, 8);
     b.bench("table_scan_4096", || {
@@ -131,7 +181,7 @@ fn main() {
     for d in 0..1024u32 {
         churn.insert(route(2, d, d + 1));
     }
-    churn.ensure_index(&[0, 1]);
+    churn.index(&[0, 1]);
     let mut i = 0u32;
     b.bench("table_insert_remove_1024", || {
         let t = route(3, i % 64, i);

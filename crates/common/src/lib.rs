@@ -22,8 +22,11 @@
 //!   a tuple id can never be confused with a rule-execution id.
 //! * [`StorageSize`] — the byte-size model standing in for the paper's
 //!   `boost::serialization` measurement of provenance table storage.
+//! * [`FastMap`] — a `HashMap` over a deterministic non-SipHash hasher,
+//!   for the engine's maps keyed by values the program makes itself.
 
 pub mod error;
+pub mod fasthash;
 pub mod hash;
 pub mod rng;
 pub mod size;
@@ -31,6 +34,7 @@ pub mod tuple;
 pub mod value;
 
 pub use error::{Error, Result};
+pub use fasthash::{FastHasher, FastMap};
 pub use hash::{sha1, Digest, EqKeyHash, EvId, Rid, Sha1, Vid};
 pub use rng::{Rng, SeededRng};
 pub use size::StorageSize;

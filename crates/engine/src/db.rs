@@ -8,52 +8,143 @@
 //! rows, so memory stays proportional to the live set.
 //!
 //! Tables also maintain **secondary hash indexes** keyed by argument
-//! positions. An index is built lazily the first time a compiled rule plan
-//! probes a `(relation, positions)` combination, and is maintained
-//! incrementally on insert; removal relies on tombstones (stale slot ids in
-//! a bucket point at blanked slots and are skipped). Buckets list slot ids
-//! in insertion order, so an index probe yields exactly the rows a full
-//! scan would have matched, in the same order.
+//! positions. [`Table::index`] finds the index on a position list, building
+//! it from the live rows the first time a compiled rule plan asks; a table
+//! keeps its few indexes in a `Vec`, so finding one compares a handful of
+//! short position lists and hashes nothing. A bucket is keyed by the `u64`
+//! [`FastHasher`] hash of the key [`Value`]s themselves and chains slot ids
+//! in insertion order. Distinct keys may share a hash, so [`Index::probe`]
+//! re-checks every candidate row against the key: a collision can only add
+//! candidates, never drop or reorder matches, and a probe yields exactly the
+//! rows a full scan would have matched, in the same order. Indexes are
+//! maintained incrementally on insert; removal relies on tombstones (stale
+//! slot ids in a bucket point at blanked slots and are skipped), and
+//! compaction discards the indexes, to be rebuilt on the next probe.
+//!
+//! Tables, row positions and the vid index are [`FastMap`]s: their keys
+//! (relation names, tuples, digests) are made by the program, never read
+//! from outside it.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::hash::{Hash, Hasher};
 
-use dpc_common::{RelName, StorageSize, Tuple, Value, Vid};
+use dpc_common::{FastHasher, FastMap, RelName, StorageSize, Tuple, Value, Vid};
 
-/// Index key: the concatenated canonical encodings of the values at the
-/// indexed positions. `Value::encode_into` is self-delimiting, so for a
-/// fixed position list the concatenation is injective.
-fn index_key(positions: &[usize], args: &[Value]) -> Option<Vec<u8>> {
-    let mut key = Vec::with_capacity(positions.len() * 8);
-    for &p in positions {
-        args.get(p)?.encode_into(&mut key);
+/// The bucket key of `key`: the [`FastHasher`] hash of its values in
+/// order. Row and probe sides both hash through here, so equal keys land
+/// in the same bucket.
+fn key_hash<'v>(key: impl IntoIterator<Item = &'v Value>) -> u64 {
+    let mut h = FastHasher::default();
+    for v in key {
+        v.hash(&mut h);
     }
-    Some(key)
+    h.finish()
 }
 
+/// Ends a bucket's chain of slots.
+const NIL: u32 = u32::MAX;
+
 /// A secondary hash index over one `(relation, positions)` combination.
-#[derive(Debug, Clone, Default)]
+///
+/// A bucket is a chain of slot ids in insertion order, linked through
+/// `next`, so adding a row allocates nothing beyond amortized growth of
+/// the two tables. Chained slots may be stale (tombstoned), and rows of
+/// different keys may share a bucket; probes skip the one and re-check
+/// the other.
+#[derive(Debug, Clone)]
 struct SecondaryIndex {
-    /// Key bytes -> slot ids in insertion order. Slot ids may be stale
-    /// (tombstoned); probes skip them.
-    buckets: HashMap<Vec<u8>, Vec<usize>>,
+    /// The indexed argument positions, ascending.
+    positions: Box<[usize]>,
+    /// Key hash -> the first and last slot of its bucket's chain.
+    buckets: FastMap<u64, (u32, u32)>,
+    /// Slot -> the next slot of its bucket, or [`NIL`].
+    next: Vec<u32>,
     /// Set when a row's arity does not cover the indexed positions; such a
     /// row cannot be keyed, so the index is unusable and probes fall back
     /// to scanning.
     degenerate: bool,
+    /// Test hook: put every key in bucket 0, to exercise collisions.
+    #[cfg(test)]
+    collide: bool,
 }
 
 impl SecondaryIndex {
-    fn add(&mut self, positions: &[usize], slot: usize, t: &Tuple) {
+    fn bucket_of<'v>(&self, key: impl IntoIterator<Item = &'v Value>) -> u64 {
+        #[cfg(test)]
+        if self.collide {
+            return 0;
+        }
+        key_hash(key)
+    }
+
+    /// Append `t`, stored at `slot`, to its bucket. Slots arrive in
+    /// ascending order.
+    fn add(&mut self, slot: usize, t: &Tuple) {
         if self.degenerate {
             return;
         }
-        match index_key(positions, t.args()) {
-            Some(key) => self.buckets.entry(key).or_default().push(slot),
-            None => {
-                self.buckets.clear();
-                self.degenerate = true;
+        let args = t.args();
+        if self.positions.iter().any(|&p| p >= args.len()) {
+            self.buckets = FastMap::default();
+            self.next = Vec::new();
+            self.degenerate = true;
+            return;
+        }
+        let h = self.bucket_of(self.positions.iter().map(|&p| &args[p]));
+        let id = u32::try_from(slot).expect("a table holds fewer than 2^32 slots");
+        self.next.resize(slot + 1, NIL);
+        match self.buckets.entry(h) {
+            Entry::Occupied(mut chain) => {
+                let last = &mut chain.get_mut().1;
+                self.next[*last as usize] = id;
+                *last = id;
+            }
+            Entry::Vacant(chain) => {
+                chain.insert((id, id));
             }
         }
+    }
+}
+
+/// One of a table's secondary indexes, borrowed together with the rows it
+/// points into. Returned by [`Table::index`]; the table cannot change
+/// while it is held.
+#[derive(Debug, Clone, Copy)]
+pub struct Index<'a> {
+    slots: &'a [Option<Tuple>],
+    idx: &'a SecondaryIndex,
+}
+
+impl<'a> Index<'a> {
+    /// Live rows whose values at the indexed positions equal `key` (one
+    /// value per position, in position order), in insertion order.
+    pub fn probe<'k>(self, key: &'k [Value]) -> impl Iterator<Item = &'a Tuple> + 'k
+    where
+        'a: 'k,
+    {
+        debug_assert_eq!(
+            key.len(),
+            self.idx.positions.len(),
+            "one key value per position"
+        );
+        let Index { slots, idx } = self;
+        let mut at = idx
+            .buckets
+            .get(&idx.bucket_of(key))
+            .map_or(NIL, |&(first, _)| first);
+        std::iter::from_fn(move || {
+            while at != NIL {
+                let slot = at as usize;
+                at = idx.next[slot];
+                if let Some(row) = &slots[slot] {
+                    let args = row.args();
+                    if idx.positions.iter().zip(key).all(|(&p, k)| args[p] == *k) {
+                        return Some(row);
+                    }
+                }
+            }
+            None
+        })
     }
 }
 
@@ -71,9 +162,12 @@ pub struct Table {
     /// Sum of the live rows' [`StorageSize`].
     row_bytes: usize,
     /// Row -> slot id, for the live rows only.
-    pos: HashMap<Tuple, usize>,
-    /// Secondary indexes keyed by the indexed argument positions.
-    indexes: HashMap<Box<[usize]>, SecondaryIndex>,
+    pos: FastMap<Tuple, usize>,
+    /// Secondary indexes, in the order they were first asked for.
+    indexes: Vec<SecondaryIndex>,
+    /// Test hook: build every index with colliding buckets.
+    #[cfg(test)]
+    collide: bool,
 }
 
 impl Table {
@@ -82,14 +176,24 @@ impl Table {
         Table::default()
     }
 
+    /// An empty table whose indexes put every key in one bucket, so probes
+    /// rely on the key re-check alone.
+    #[cfg(test)]
+    fn with_colliding_keys() -> Table {
+        Table {
+            collide: true,
+            ..Table::default()
+        }
+    }
+
     /// Insert a row; returns `true` if it was not already present.
     pub fn insert(&mut self, t: Tuple) -> bool {
         if self.pos.contains_key(&t) {
             return false;
         }
         let slot = self.slots.len();
-        for (positions, idx) in &mut self.indexes {
-            idx.add(positions, slot, &t);
+        for idx in &mut self.indexes {
+            idx.add(slot, &t);
         }
         self.row_bytes += t.storage_size();
         self.pos.insert(t.clone(), slot);
@@ -114,7 +218,7 @@ impl Table {
     }
 
     /// Drop tombstones, renumber slots in insertion order, and discard the
-    /// secondary indexes (they are rebuilt lazily on the next probe).
+    /// secondary indexes (they are rebuilt on the next probe).
     fn compact(&mut self) {
         self.slots.retain(Option::is_some);
         self.pos.clear();
@@ -145,37 +249,40 @@ impl Table {
         self.pos.is_empty()
     }
 
-    /// Ensure a secondary index exists for `positions`, building it from
-    /// the current live rows if needed. Returns `false` if the index is
-    /// unusable (some row's arity does not cover `positions`) — callers
-    /// should fall back to a scan.
-    pub fn ensure_index(&mut self, positions: &[usize]) -> bool {
-        if !self.indexes.contains_key(positions) {
-            let mut idx = SecondaryIndex::default();
-            for (slot, row) in self.slots.iter().enumerate() {
-                if let Some(row) = row {
-                    idx.add(positions, slot, row);
+    /// The secondary index on `positions` (ascending), built from the
+    /// current live rows the first time it is asked for. `None` when the
+    /// index is unusable because some row's arity does not cover
+    /// `positions`; callers then scan.
+    pub fn index(&mut self, positions: &[usize]) -> Option<Index<'_>> {
+        let i = match self
+            .indexes
+            .iter()
+            .position(|ix| *ix.positions == *positions)
+        {
+            Some(i) => i,
+            None => {
+                let mut idx = SecondaryIndex {
+                    positions: positions.into(),
+                    buckets: FastMap::default(),
+                    next: Vec::new(),
+                    degenerate: false,
+                    #[cfg(test)]
+                    collide: self.collide,
+                };
+                for (slot, row) in self.slots.iter().enumerate() {
+                    if let Some(row) = row {
+                        idx.add(slot, row);
+                    }
                 }
+                self.indexes.push(idx);
+                self.indexes.len() - 1
             }
-            self.indexes.insert(positions.into(), idx);
-        }
-        !self.indexes[positions].degenerate
-    }
-
-    /// Probe the `positions` index for rows whose indexed values encode to
-    /// `key`, in insertion order. Returns `None` when the index is missing
-    /// or degenerate ([`Table::ensure_index`] builds it beforehand).
-    pub fn probe<'a>(
-        &'a self,
-        positions: &[usize],
-        key: &[u8],
-    ) -> Option<impl Iterator<Item = &'a Tuple>> {
-        let idx = self.indexes.get(positions)?;
-        if idx.degenerate {
-            return None;
-        }
-        let bucket = idx.buckets.get(key).map(Vec::as_slice).unwrap_or(&[]);
-        Some(bucket.iter().filter_map(|&s| self.slots[s].as_ref()))
+        };
+        let idx = &self.indexes[i];
+        (!idx.degenerate).then_some(Index {
+            slots: &self.slots,
+            idx,
+        })
     }
 
     /// Number of secondary indexes currently materialized.
@@ -200,8 +307,8 @@ impl StorageSize for Table {
 /// output tuples, which no rule joins but queries may resolve).
 #[derive(Debug, Clone, Default)]
 pub struct Database {
-    tables: HashMap<RelName, Table>,
-    by_vid: HashMap<Vid, Tuple>,
+    tables: FastMap<RelName, Table>,
+    by_vid: FastMap<Vid, Tuple>,
 }
 
 impl Database {
@@ -363,54 +470,155 @@ mod tests {
         assert_eq!(dsts(&t), expect2);
     }
 
+    fn addr(n: u32) -> Value {
+        Value::Addr(NodeId(n))
+    }
+
+    /// Probe `t`'s index on `positions` for `key`.
+    fn probe(t: &mut Table, positions: &[usize], key: &[Value]) -> Vec<Tuple> {
+        let idx = t.index(positions).expect("index is usable");
+        idx.probe(key).cloned().collect()
+    }
+
     #[test]
     fn index_probe_matches_scan_in_order() {
         let mut t = Table::new();
         t.insert(route(1, 3, 2));
         t.insert(route(1, 2, 2));
         t.insert(route(1, 3, 4)); // second row for dst=3
-        assert!(t.ensure_index(&[1]));
-        // Key built from position 1 of a probe binding: dst = n3.
-        let mut key = Vec::new();
-        Value::Addr(NodeId(3)).encode_into(&mut key);
-        let hits: Vec<_> = t.probe(&[1], &key).unwrap().cloned().collect();
-        assert_eq!(hits, vec![route(1, 3, 2), route(1, 3, 4)]);
+        assert_eq!(
+            probe(&mut t, &[1], &[addr(3)]),
+            vec![route(1, 3, 2), route(1, 3, 4)]
+        );
         // Unknown key: empty, but still served by the index.
-        let mut k2 = Vec::new();
-        Value::Addr(NodeId(9)).encode_into(&mut k2);
-        assert_eq!(t.probe(&[1], &k2).unwrap().count(), 0);
+        assert!(probe(&mut t, &[1], &[addr(9)]).is_empty());
+        // Asking again finds the same index rather than building another.
+        assert_eq!(
+            probe(&mut t, &[0, 1], &[addr(1), addr(2)]),
+            vec![route(1, 2, 2)]
+        );
+        assert_eq!(t.index_count(), 2);
+        t.index(&[1]).unwrap();
+        assert_eq!(t.index_count(), 2);
     }
 
     #[test]
     fn index_is_maintained_on_insert_and_skips_tombstones() {
         let mut t = Table::new();
         t.insert(route(1, 3, 2));
-        assert!(t.ensure_index(&[1]));
+        assert!(t.index(&[1]).is_some());
         // Insert after the index exists: incrementally added.
         t.insert(route(1, 3, 4));
-        let mut key = Vec::new();
-        Value::Addr(NodeId(3)).encode_into(&mut key);
-        assert_eq!(t.probe(&[1], &key).unwrap().count(), 2);
+        assert_eq!(probe(&mut t, &[1], &[addr(3)]).len(), 2);
         // Remove one: the stale bucket entry is skipped.
         t.remove(&route(1, 3, 2));
-        let left: Vec<_> = t.probe(&[1], &key).unwrap().cloned().collect();
-        assert_eq!(left, vec![route(1, 3, 4)]);
+        assert_eq!(probe(&mut t, &[1], &[addr(3)]), vec![route(1, 3, 4)]);
     }
 
     #[test]
     fn short_arity_row_degrades_index_to_scan() {
         let mut t = Table::new();
-        t.insert(Tuple::new("route", vec![Value::Addr(NodeId(1))]));
-        assert!(!t.ensure_index(&[1]), "position 1 not covered by arity 1");
-        assert!(t.probe(&[1], &[]).is_none());
+        t.insert(Tuple::new("route", vec![addr(1)]));
+        assert!(t.index(&[1]).is_none(), "position 1 not covered by arity 1");
         // And the degenerate marker also applies when the short row arrives
         // after the index was built.
         let mut t2 = Table::new();
         t2.insert(route(1, 3, 2));
-        assert!(t2.ensure_index(&[1]));
-        t2.insert(Tuple::new("route", vec![Value::Addr(NodeId(1))]));
-        assert!(!t2.ensure_index(&[1]));
-        assert!(t2.probe(&[1], &[]).is_none());
+        assert!(t2.index(&[1]).is_some());
+        t2.insert(Tuple::new("route", vec![addr(1)]));
+        assert!(t2.index(&[1]).is_none());
+    }
+
+    /// Keys that a length-prefixed byte encoding kept apart must still
+    /// never match: a value's variant and the split between positions are
+    /// part of the key, not only the payload bytes.
+    #[test]
+    fn keys_of_equal_payload_never_match() {
+        let table = |collide: bool| {
+            if collide {
+                Table::with_colliding_keys()
+            } else {
+                Table::new()
+            }
+        };
+        for collide in [false, true] {
+            let mut t = table(collide);
+            t.insert(Tuple::new("s", vec![addr(1), Value::Int(3)]));
+            t.insert(Tuple::new("s", vec![addr(1), addr(3)]));
+            t.insert(Tuple::new("s", vec![addr(1), Value::str("3")]));
+            let by_val = |t: &mut Table, v: Value| probe(t, &[1], &[v]);
+            assert_eq!(
+                by_val(&mut t, Value::Int(3)),
+                vec![Tuple::new("s", vec![addr(1), Value::Int(3)])]
+            );
+            assert_eq!(
+                by_val(&mut t, addr(3)),
+                vec![Tuple::new("s", vec![addr(1), addr(3)])]
+            );
+            assert!(by_val(&mut t, Value::Bool(true)).is_empty());
+
+            let row =
+                |a: &str, b: &str| Tuple::new("p", vec![addr(1), Value::str(a), Value::str(b)]);
+            let mut p = table(collide);
+            p.insert(row("ab", "c"));
+            p.insert(row("a", "bc"));
+            p.insert(row("", "abc"));
+            for (a, b) in [("ab", "c"), ("a", "bc"), ("", "abc")] {
+                let key = [Value::str(a), Value::str(b)];
+                assert_eq!(probe(&mut p, &[1, 2], &key), vec![row(a, b)]);
+            }
+            assert!(probe(&mut p, &[1, 2], &[Value::str("abc"), Value::str("")]).is_empty());
+        }
+    }
+
+    /// With every key in one bucket, probes must still return exactly the
+    /// matching rows in insertion order, through tombstones, compaction
+    /// and inserts after the rebuild; checked against a scan.
+    #[test]
+    fn colliding_buckets_return_exact_matches_in_order() {
+        use dpc_common::{Rng, SeededRng};
+        let mut rng = SeededRng::seed_from_u64(0xC0111DE);
+        let mut t = Table::with_colliding_keys();
+        let scan = |t: &Table, dst: u32| -> Vec<Tuple> {
+            t.iter()
+                .filter(|r| r.args()[1] == addr(dst))
+                .cloned()
+                .collect()
+        };
+        let mut live: Vec<Tuple> = Vec::new();
+        let mut compacted = false;
+        for step in 0..600u32 {
+            // Mostly inserts, then mostly removals, in 150-step phases, so
+            // tombstones pile up past the compaction threshold.
+            let removal_odds = if (step / 150) % 2 == 1 { 3 } else { 1 };
+            if rng.bounded(4) < removal_odds && !live.is_empty() {
+                let r = live.swap_remove(rng.bounded(live.len() as u64) as usize);
+                let slots = t.slots.len();
+                assert!(t.remove(&r));
+                compacted |= t.slots.len() < slots;
+            } else {
+                let r = route(1, rng.bounded(6) as u32, step);
+                assert!(t.insert(r.clone()));
+                live.push(r);
+            }
+            let dst = rng.bounded(7) as u32; // 6 never occurs: empty probes too
+            assert_eq!(
+                probe(&mut t, &[1], &[addr(dst)]),
+                scan(&t, dst),
+                "step {step}"
+            );
+            let idx = t.index(&[1]).unwrap();
+            assert!(idx.idx.buckets.len() <= 1, "one shared bucket");
+        }
+        assert!(compacted, "the churn crossed the compaction threshold");
+    }
+
+    /// Bucket keys are fixed across runs and builds.
+    #[test]
+    fn key_hash_known_answers() {
+        assert_eq!(key_hash(&[addr(1), addr(7)]), 0x74a1_916a_f8ba_c329);
+        assert_eq!(key_hash(&[Value::str("a.com")]), 0x82b7_3335_f02a_ecce);
+        assert_eq!(key_hash(&[]), 0);
     }
 
     #[test]
@@ -507,7 +715,7 @@ mod tests {
                 ],
             ));
         }
-        t.ensure_index(&[0]);
+        assert!(t.index(&[0]).is_some());
         let slots_before = t.slots.len();
         let mut rows: Vec<Tuple> = t.iter().cloned().collect();
         while rows.len() > 10 {

@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dpc_common::{Error, Result, Tuple, Value};
+use dpc_common::{Error, FastMap, Result, Tuple, Value};
 use dpc_ndlog::{Atom, BinOp, BodyItem, CmpOp, Expr, ExprKind, Rule, TermKind};
 
 use crate::db::Database;
@@ -31,7 +31,7 @@ pub type UserFn = Arc<dyn Fn(&[Value]) -> Result<Value> + Send + Sync>;
 /// Registry of user-defined functions, shared by all nodes.
 #[derive(Clone, Default)]
 pub struct FnRegistry {
-    fns: HashMap<String, UserFn>,
+    fns: FastMap<String, UserFn>,
 }
 
 impl FnRegistry {

@@ -8,27 +8,36 @@
 //! name resolution to build time:
 //!
 //! * every variable gets a dense **slot** index, so a binding set is a
-//!   `Vec<Option<Value>>` — no hashing, and cloned only for rows that
-//!   actually match;
+//!   row of `Option<Value>`s, copied only for rows that actually match;
 //! * for every condition atom the compiler records which argument
 //!   positions are already bound when the atom joins (the `joinSAttr`
 //!   analysis exposed by [`dpc_ndlog::join_key_positions`]), and the join
-//!   probes a [secondary index](crate::db::Table::ensure_index) on those
-//!   positions instead of scanning;
+//!   probes a [secondary index](crate::db::Table::index) on those
+//!   positions instead of scanning. The probe key is the bound
+//!   [`Value`]s themselves; the index hashes them and re-checks every
+//!   candidate row, so no key is encoded to bytes;
 //! * constraints, assignments and the head template are compiled to
 //!   slot-addressed expressions.
 //!
-//! The compiled path is **firing-identical** to the interpreter: an index
-//! bucket lists rows in insertion order, which is exactly the scan order
-//! restricted to matching rows, and steps execute in source order with the
-//! same filter/bind semantics — so heads and slow-tuple lists come out
-//! byte-for-byte equal, in the same order (see the `differential`
-//! integration test, which keeps the interpreter as this module's oracle).
+//! An evaluation allocates only what it returns (the firings, their head
+//! tuples and slow-tuple lists). The partial matches live in two flat
+//! arenas, one binding row and one slow-tuple row per match, that swap
+//! between join steps; join keys and user-function arguments are gathered
+//! into buffers. All of these are per-thread and reused from call to call.
+//!
+//! The compiled path is **firing-identical** to the interpreter: it runs
+//! breadth-first like the interpreter (every partial match passes a step
+//! before any passes the next), an index probe yields exactly the scan's
+//! matching rows in insertion order, and steps execute in source order with
+//! the same filter/bind semantics — so heads and slow-tuple lists come out
+//! byte-for-byte equal, in the same order, and so does the first error
+//! (see the `differential` integration test, which keeps the interpreter
+//! as this module's oracle).
 
-use std::collections::HashMap;
+use std::cell::Cell;
 use std::sync::Arc;
 
-use dpc_common::{Error, RelName, Result, Tuple, Value};
+use dpc_common::{Error, FastMap, RelName, Result, Tuple, Value};
 use dpc_ndlog::{join_key_positions, Atom, BodyItem, CmpOp, Delp, Expr, ExprKind, Rule, TermKind};
 
 use crate::db::Database;
@@ -129,6 +138,93 @@ pub struct RulePlan {
     steps: Vec<PlanStep>,
     head_rel: RelName,
     head: Vec<ValSource>,
+}
+
+/// Partial matches, stored flat: partial `i` owns the slot bindings
+/// `bind[i * nslots..][..nslots]` and the slow tuples
+/// `slow[i * width..][..width]`, where `width` is the number of joins done
+/// so far.
+#[derive(Default)]
+struct Partials {
+    bind: Vec<Option<Value>>,
+    slow: Vec<Tuple>,
+    len: usize,
+}
+
+impl Partials {
+    const fn new() -> Partials {
+        Partials {
+            bind: Vec::new(),
+            slow: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Partial `i`'s bindings and slow tuples.
+    fn get(&self, i: usize, nslots: usize, width: usize) -> (&[Option<Value>], &[Tuple]) {
+        (
+            &self.bind[i * nslots..][..nslots],
+            &self.slow[i * width..][..width],
+        )
+    }
+
+    /// Move partial `from` down to `to` (`to <= from`); the partial that
+    /// was at `to` has been dropped by the caller's filter.
+    fn move_to(&mut self, from: usize, to: usize, nslots: usize, width: usize) {
+        if from != to {
+            let (lo, hi) = self.bind.split_at_mut(from * nslots);
+            lo[to * nslots..][..nslots].swap_with_slice(&mut hi[..nslots]);
+            let (lo, hi) = self.slow.split_at_mut(from * width);
+            lo[to * width..][..width].swap_with_slice(&mut hi[..width]);
+        }
+    }
+
+    /// Keep the first `len` partials.
+    fn truncate(&mut self, len: usize, nslots: usize, width: usize) {
+        self.bind.truncate(len * nslots);
+        self.slow.truncate(len * width);
+        self.len = len;
+    }
+
+    fn clear(&mut self) {
+        self.truncate(0, 0, 0);
+    }
+}
+
+/// Buffers one evaluation works in: the partial matches before and after
+/// a join (swapped between steps), the join key being probed and the
+/// arguments of the user function being called.
+#[derive(Default)]
+struct Scratch {
+    cur: Partials,
+    next: Partials,
+    key: Vec<Value>,
+    args: Vec<Value>,
+}
+
+impl Scratch {
+    /// Empty the buffers, keeping their capacity. Run after every
+    /// evaluation, so no tuple outlives the call that matched it.
+    fn clear(&mut self) {
+        self.cur.clear();
+        self.next.clear();
+        self.key.clear();
+        self.args.clear();
+    }
+}
+
+thread_local! {
+    /// Each thread's evaluation buffers, reused from call to call. A
+    /// call takes them out and puts them back, so a user function that
+    /// evaluates a plan itself gets fresh ones.
+    static SCRATCH: Cell<Scratch> = const {
+        Cell::new(Scratch {
+            cur: Partials::new(),
+            next: Partials::new(),
+            key: Vec::new(),
+            args: Vec::new(),
+        })
+    };
 }
 
 /// Tracks variable -> slot allocation and which slots are bound so far.
@@ -280,7 +376,30 @@ impl RulePlan {
         if event.rel() != self.event.rel || event.arity() != self.event.arity {
             return Ok(Vec::new());
         }
-        let mut slots: Vec<Option<Value>> = vec![None; self.names.len()];
+        let mut scratch = SCRATCH.take();
+        let out = self.eval_in(event, db, fns, stats, &mut scratch);
+        scratch.clear();
+        SCRATCH.set(scratch);
+        out
+    }
+
+    /// [`RulePlan::eval`] over `scratch`'s buffers, which start empty.
+    fn eval_in(
+        &self,
+        event: &Tuple,
+        db: &mut Database,
+        fns: &FnRegistry,
+        stats: &mut EvalStats,
+        scratch: &mut Scratch,
+    ) -> Result<Vec<Firing>> {
+        let Scratch {
+            cur,
+            next,
+            key,
+            args,
+        } = scratch;
+        let n = self.names.len();
+        cur.bind.resize(n, None);
         for (term, val) in self.event.terms.iter().zip(event.args()) {
             match term {
                 MatchTerm::Const(c) => {
@@ -288,81 +407,92 @@ impl RulePlan {
                         return Ok(Vec::new());
                     }
                 }
-                MatchTerm::Bind(s) => slots[*s] = Some(val.clone()),
+                MatchTerm::Bind(s) => cur.bind[*s] = Some(val.clone()),
                 MatchTerm::Check(s) => {
-                    if slots[*s].as_ref() != Some(val) {
+                    if cur.bind[*s].as_ref() != Some(val) {
                         return Ok(Vec::new());
                     }
                 }
             }
         }
+        cur.len = 1;
 
-        let mut partials: Vec<(Vec<Option<Value>>, Vec<Tuple>)> = vec![(slots, Vec::new())];
+        // Breadth-first, as the interpreter: every partial match passes a
+        // step before any passes the next, so firings and the first error
+        // come out in the interpreter's order.
+        let mut width = 0; // slow tuples per partial: the joins done so far
         for step in &self.steps {
             match step {
                 PlanStep::Join(j) => {
-                    let mut next = Vec::new();
                     if let Some(table) = db.table_mut(&j.rel) {
-                        let indexed =
-                            !j.key_positions.is_empty() && table.ensure_index(&j.key_positions);
-                        let table = &*table;
-                        let mut keybuf = Vec::new();
-                        for (bind, slow) in &partials {
-                            if indexed {
-                                stats.index_hits += 1;
-                                keybuf.clear();
-                                for src in &j.key_sources {
-                                    self.key_value(src, bind)?.encode_into(&mut keybuf);
-                                }
-                                if let Some(rows) = table.probe(&j.key_positions, &keybuf) {
-                                    for row in rows {
-                                        j.try_match(row, bind, slow, true, &mut next);
+                        let index = if j.key_positions.is_empty() {
+                            None
+                        } else {
+                            table.index(&j.key_positions)
+                        };
+                        match index {
+                            Some(index) => {
+                                for i in 0..cur.len {
+                                    let (bind, slow) = cur.get(i, n, width);
+                                    stats.index_hits += 1;
+                                    self.join_key(j, bind, key)?;
+                                    for row in index.probe(key) {
+                                        j.try_match(row, bind, slow, None, next);
                                     }
                                 }
-                            } else {
-                                stats.index_misses += 1;
-                                for row in table.iter() {
-                                    j.try_match(row, bind, slow, false, &mut next);
+                            }
+                            None => {
+                                for i in 0..cur.len {
+                                    let (bind, slow) = cur.get(i, n, width);
+                                    stats.index_misses += 1;
+                                    self.join_key(j, bind, key)?;
+                                    for row in table.iter() {
+                                        j.try_match(row, bind, slow, Some(key), next);
+                                    }
                                 }
                             }
                         }
                     }
-                    partials = next;
+                    std::mem::swap(cur, next);
+                    next.clear();
+                    width += 1;
                 }
                 PlanStep::Filter { left, op, right } => {
-                    let mut next = Vec::new();
-                    for (bind, slow) in partials {
-                        let lv = self.eval_expr(left, &bind, fns)?;
-                        let rv = self.eval_expr(right, &bind, fns)?;
+                    let mut kept = 0;
+                    for i in 0..cur.len {
+                        let (bind, _) = cur.get(i, n, width);
+                        let lv = self.eval_expr(left, bind, fns, args)?;
+                        let rv = self.eval_expr(right, bind, fns, args)?;
                         if compare(*op, &lv, &rv)? {
-                            next.push((bind, slow));
+                            cur.move_to(i, kept, n, width);
+                            kept += 1;
                         }
                     }
-                    partials = next;
+                    cur.truncate(kept, n, width);
                 }
                 PlanStep::Assign { slot, expr } => {
-                    let mut next = Vec::new();
-                    for (mut bind, slow) in partials {
-                        let v = self.eval_expr(expr, &bind, fns)?;
-                        match &bind[*slot] {
+                    let mut kept = 0;
+                    for i in 0..cur.len {
+                        let v = self.eval_expr(expr, cur.get(i, n, width).0, fns, args)?;
+                        let bound = &mut cur.bind[i * n + *slot];
+                        match bound {
                             Some(existing) if *existing != v => continue, // filter
-                            _ => {
-                                bind[*slot] = Some(v);
-                                next.push((bind, slow));
-                            }
+                            _ => *bound = Some(v),
                         }
+                        cur.move_to(i, kept, n, width);
+                        kept += 1;
                     }
-                    partials = next;
+                    cur.truncate(kept, n, width);
                 }
             }
-            if partials.is_empty() {
+            if cur.len == 0 {
                 return Ok(Vec::new());
             }
         }
 
-        partials
-            .into_iter()
-            .map(|(bind, slow)| {
+        (0..cur.len)
+            .map(|i| {
+                let (bind, slow) = cur.get(i, n, width);
                 let args = self
                     .head
                     .iter()
@@ -375,7 +505,7 @@ impl RulePlan {
                     .collect::<Result<Vec<_>>>()?;
                 Ok(Firing {
                     head: Tuple::from_rel(self.head_rel.clone(), args),
-                    slow,
+                    slow: slow.to_vec(),
                 })
             })
             .collect()
@@ -626,23 +756,32 @@ impl RulePlan {
         }
     }
 
-    fn key_value<'b>(&self, src: &'b ValSource, bind: &'b [Option<Value>]) -> Result<&'b Value> {
-        match src {
-            ValSource::Const(c) => Ok(c),
-            ValSource::Slot(s) => bind[*s].as_ref().ok_or_else(|| {
-                Error::Eval(format!(
-                    "internal: join key variable `{}` unbound",
-                    self.names[*s]
-                ))
-            }),
+    /// Gather join `j`'s key values under `bind` into `key`.
+    fn join_key(&self, j: &JoinStep, bind: &[Option<Value>], key: &mut Vec<Value>) -> Result<()> {
+        key.clear();
+        for src in &j.key_sources {
+            key.push(match src {
+                ValSource::Const(c) => c.clone(),
+                ValSource::Slot(s) => bind[*s].clone().ok_or_else(|| {
+                    Error::Eval(format!(
+                        "internal: join key variable `{}` unbound",
+                        self.names[*s]
+                    ))
+                })?,
+            });
         }
+        Ok(())
     }
 
+    /// Evaluate `expr` under `bind`. Function arguments are gathered on
+    /// top of `args` and popped after the call, so nested calls share the
+    /// one buffer.
     fn eval_expr(
         &self,
         expr: &PlanExpr,
         bind: &[Option<Value>],
         fns: &FnRegistry,
+        args: &mut Vec<Value>,
     ) -> Result<Value> {
         match expr {
             PlanExpr::Slot(s) => bind[*s]
@@ -650,58 +789,55 @@ impl RulePlan {
                 .ok_or_else(|| Error::Eval(format!("unbound variable `{}`", self.names[*s]))),
             PlanExpr::Const(c) => Ok(c.clone()),
             PlanExpr::BinOp(op, l, r) => {
-                let lv = self.eval_expr(l, bind, fns)?;
-                let rv = self.eval_expr(r, bind, fns)?;
+                let lv = self.eval_expr(l, bind, fns, args)?;
+                let rv = self.eval_expr(r, bind, fns, args)?;
                 apply_binop(*op, &lv, &rv)
             }
-            PlanExpr::Call(name, args) => {
+            PlanExpr::Call(name, params) => {
                 let f = fns
                     .get(name)
                     .ok_or_else(|| Error::Eval(format!("unknown function `{name}`")))?;
-                let vals: Vec<Value> = args
-                    .iter()
-                    .map(|a| self.eval_expr(a, bind, fns))
-                    .collect::<Result<_>>()?;
-                f(&vals)
+                let base = args.len();
+                for a in params {
+                    let v = self.eval_expr(a, bind, fns, args)?;
+                    args.push(v);
+                }
+                let out = f(&args[base..]);
+                args.truncate(base);
+                out
             }
         }
     }
 }
 
 impl JoinStep {
-    /// Try to extend one partial binding with `row`. `key_verified` is true
-    /// when the row came out of an index bucket, whose key construction
-    /// already guarantees the key positions match (the encoding is
-    /// injective). The binding vector is cloned only on success.
+    /// Try to extend one partial match (`bind`, `slow`) with `row`,
+    /// appending the extension to `next` on success. `key` is `Some` for
+    /// rows from a scan, whose key positions still need checking; rows
+    /// from an index probe already match the key. Nothing is cloned for a
+    /// row that does not match.
     fn try_match(
         &self,
         row: &Tuple,
         bind: &[Option<Value>],
         slow: &[Tuple],
-        key_verified: bool,
-        next: &mut Vec<(Vec<Option<Value>>, Vec<Tuple>)>,
+        key: Option<&[Value]>,
+        next: &mut Partials,
     ) {
         if row.arity() != self.arity {
             return;
         }
         let args = row.args();
-        if !key_verified {
-            for (&p, src) in self.key_positions.iter().zip(&self.key_sources) {
-                let expect = match src {
-                    ValSource::Const(c) => c,
-                    ValSource::Slot(s) => match &bind[*s] {
-                        Some(v) => v,
-                        None => return, // unreachable: key slots are bound
-                    },
-                };
-                if args[p] != *expect {
-                    return;
-                }
+        if let Some(key) = key {
+            if self
+                .key_positions
+                .iter()
+                .zip(key)
+                .any(|(&p, k)| args[p] != *k)
+            {
+                return;
             }
         }
-        // Bind/check the free positions without cloning the binding set;
-        // `pending` carries in-atom bindings for repeated variables.
-        let mut pending: Vec<(usize, &Value)> = Vec::with_capacity(self.rest.len());
         for (p, term) in &self.rest {
             let val = &args[*p];
             match term {
@@ -710,27 +846,31 @@ impl JoinStep {
                         return;
                     }
                 }
-                MatchTerm::Bind(s) => pending.push((*s, val)),
+                MatchTerm::Bind(_) => {}
                 MatchTerm::Check(s) => {
-                    let bound = pending
-                        .iter()
-                        .rev()
-                        .find(|(ps, _)| ps == s)
-                        .map(|(_, v)| *v)
-                        .or(bind[*s].as_ref());
+                    // Bound before this atom, or by an earlier position of
+                    // it (a repeated variable).
+                    let bound = bind[*s].as_ref().or_else(|| {
+                        self.rest.iter().find_map(|(q, t)| {
+                            matches!(t, MatchTerm::Bind(b) if b == s).then(|| &args[*q])
+                        })
+                    });
                     if bound != Some(val) {
                         return;
                     }
                 }
             }
         }
-        let mut b2 = bind.to_vec();
-        for (s, v) in pending {
-            b2[s] = Some(v.clone());
+        let base = next.bind.len();
+        next.bind.extend_from_slice(bind);
+        for (p, term) in &self.rest {
+            if let MatchTerm::Bind(s) = term {
+                next.bind[base + *s] = Some(args[*p].clone());
+            }
         }
-        let mut s2 = slow.to_vec();
-        s2.push(row.clone());
-        next.push((b2, s2));
+        next.slow.extend_from_slice(slow);
+        next.slow.push(row.clone());
+        next.len += 1;
     }
 }
 
@@ -814,14 +954,14 @@ fn compile_expr(rule: &Rule, expr: &Expr, slots: &mut SlotMap) -> Result<PlanExp
 /// [`Delp::rules_for_event`].
 #[derive(Debug, Clone, Default)]
 pub struct PlanSet {
-    by_event: HashMap<String, Vec<Arc<RulePlan>>>,
+    by_event: FastMap<String, Vec<Arc<RulePlan>>>,
     total: usize,
 }
 
 impl PlanSet {
     /// Compile every rule of `delp`.
     pub fn compile(delp: &Delp) -> Result<PlanSet> {
-        let mut by_event: HashMap<String, Vec<Arc<RulePlan>>> = HashMap::new();
+        let mut by_event: FastMap<String, Vec<Arc<RulePlan>>> = FastMap::default();
         let mut total = 0;
         for rule in delp.rules() {
             let plan = RulePlan::compile(rule)?;

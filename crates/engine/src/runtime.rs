@@ -21,7 +21,7 @@ use dpc_telemetry::{AttrValue, Counter, PerNode, SpanContext, TelemetryHandle};
 
 use crate::db::Database;
 use crate::eval::FnRegistry;
-use crate::plan::{EvalStats, PlanSet, RulePlan};
+use crate::plan::{EvalStats, PlanSet};
 use crate::recorder::{NoopRecorder, ProvMeta, ProvRecorder, Stage};
 
 /// Messages exchanged by the runtime over the simulated network.
@@ -235,9 +235,11 @@ impl<R: ProvRecorder> RuntimeBuilder<R> {
     /// rendered report (defense in depth — [`Delp`] construction already
     /// rejects them), warnings are accepted and surfaced through the
     /// [`dpc_telemetry::counters::LINT_WARNINGS`] counter when a telemetry
-    /// sink is attached. Every compiled [`RulePlan`] is audited against
-    /// the static join-key analysis before the runtime is returned; a rule
-    /// that does not compile (see [`RulePlan::compile`]) fails the build.
+    /// sink is attached. Every compiled [`RulePlan`](crate::plan::RulePlan)
+    /// is audited against the static join-key analysis before the runtime
+    /// is returned; a rule that does not compile (see
+    /// [`RulePlan::compile`](crate::plan::RulePlan::compile)) fails the
+    /// build.
     pub fn build(self) -> Result<Runtime<R>> {
         let mode = if self.delp.is_strict() {
             AnalysisMode::Strict
@@ -777,12 +779,12 @@ impl<R: ProvRecorder> Runtime<R> {
             self.dbs[node.index()].retain(tuple.clone());
         }
 
-        // Stage 2: fire every rule whose event relation matches. Plans are
-        // `Arc`s, so collecting them is a refcount bump per rule (the old
-        // path deep-cloned each `Rule` here, per event).
-        let plans: Vec<std::sync::Arc<RulePlan>> = self.plans.plans_for_event(tuple.rel()).to_vec();
+        // Stage 2: fire every rule whose event relation matches. The loop
+        // borrows `self.plans` alongside the other fields it uses, so
+        // nothing is cloned per event.
+        let plans = self.plans.plans_for_event(tuple.rel());
         let mut ev_end = at;
-        for plan in &plans {
+        for plan in plans {
             let rule = plan.rule();
             let mut stats = EvalStats::default();
             let firings = plan.eval(&tuple, &mut self.dbs[node.index()], &self.fns, &mut stats)?;

@@ -251,3 +251,57 @@ fn error_messages_match_exactly() {
         assert_parity(rule, &plan, ev, &mut db, &fns);
     }
 }
+
+/// Two keyed joins whose key values mix `Addr`, `Int` and `Str` of equal
+/// payload (`n1`, `1`, `"1"`), so keys that agree on every byte but the
+/// variant tag must still land apart. The slow tables churn between
+/// evaluations: removals leave tombstones and stale bucket entries, and
+/// enough of them trigger compaction and index rebuilds.
+#[test]
+fn mixed_variant_keys_fire_identically_under_churn() {
+    let src = "r1 out(@X, A, B) :- e(@X, K, J), s(@X, K, A), t(@X, J, A, B).";
+    let program = parse_program(src).expect("case parses");
+    let rule = &program.rules[0];
+    let plan = RulePlan::compile(rule).expect("case compiles");
+    let fns = registry();
+    let value = |rng: &mut SeededRng| {
+        let payload = rng.next_u64() % 2;
+        match rng.next_u64() % 3 {
+            0 => Value::Addr(NodeId(payload as u32)),
+            1 => Value::Int(payload as i64),
+            _ => Value::str(payload.to_string()),
+        }
+    };
+    let tuple = |rng: &mut SeededRng, rel: &str, arity: usize| {
+        let mut args = vec![Value::Addr(NodeId((rng.next_u64() % 2) as u32))];
+        args.extend((1..arity).map(|_| value(rng)));
+        Tuple::new(rel, args)
+    };
+    let mut firings = 0;
+    for seed in 0..6u64 {
+        let mut rng = SeededRng::seed_from_u64(0x4D1_7ED + seed);
+        let mut db = Database::new();
+        let mut rows: Vec<Tuple> = Vec::new();
+        for step in 0..300u32 {
+            let ev = tuple(&mut rng, "e", 3);
+            assert_parity(rule, &plan, &ev, &mut db, &fns);
+            firings += eval_rule(rule, &ev, &db, &fns).expect("no errors").len();
+            // Grow the tables for a while, then mostly shrink them.
+            let removal_odds = if step < 150 { 1 } else { 3 };
+            if rng.next_u64() % 4 < removal_odds && !rows.is_empty() {
+                let victim = rows.swap_remove((rng.next_u64() as usize) % rows.len());
+                assert!(db.remove(&victim), "row was present");
+            } else {
+                let t = if rng.next_u64().is_multiple_of(2) {
+                    tuple(&mut rng, "s", 3)
+                } else {
+                    tuple(&mut rng, "t", 4)
+                };
+                if db.insert(t.clone()) {
+                    rows.push(t);
+                }
+            }
+        }
+    }
+    assert!(firings > 300, "the joins matched: {firings} firings");
+}
