@@ -85,13 +85,11 @@ pub fn install_routes_for_pairs<R: ProvRecorder>(
 /// The payload used in the paper's experiments: 500 characters, made
 /// unique per packet by a sequence prefix.
 pub fn payload(seq: u64) -> String {
-    let prefix = format!("pkt-{seq}-");
-    let mut s = String::with_capacity(500);
-    s.push_str(&prefix);
-    while s.len() < 500 {
-        s.push('x');
-    }
-    s
+    use std::io::Write;
+    let mut bytes = Vec::with_capacity(500);
+    write!(bytes, "pkt-{seq}-").expect("write to Vec");
+    bytes.resize(bytes.len().max(500), b'x');
+    String::from_utf8(bytes).expect("the payload is ASCII")
 }
 
 #[cfg(test)]

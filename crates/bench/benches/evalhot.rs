@@ -12,7 +12,7 @@
 //! when nothing is due, an unsampled child span with an attribute), and
 //! the network layer on the 972-node forwarding topology: a `Network`
 //! clone (every query takes one), a routed path read from the shared
-//! latency trees, and one full per-source tree build.
+//! latency trees, and one source's full hop tree.
 //!
 //! Runs on the in-tree `dpc_bench::microbench` harness (offline builds
 //! carry no criterion); enable with `--features microbench`.
@@ -323,10 +323,10 @@ fn main() {
         let (s, d) = pairs[i];
         net.path_by_latency(black_box(s), black_box(d)).unwrap()
     });
-    // The Dijkstra every route tree runs; hop trees are built afresh on
-    // each call, so this is the cost of one source's tree.
+    // The breadth-first search behind every hop tree; hop trees are built
+    // afresh on each call, so this is the cost of one source's tree.
     let mut src = 0u32;
-    b.bench("route_tree_build_972", || {
+    b.bench("hop_tree_build_972", || {
         src = (src + 1) % net.node_count() as u32;
         net.hop_tree(black_box(NodeId(src))).unwrap()
     });

@@ -504,6 +504,12 @@ impl<R: ProvRecorder> Runtime<R> {
     /// `src -> dst`: every `every`-th message on it is dropped. Failure
     /// injection for tests; provenance of delivered tuples is unaffected
     /// (dropped executions simply never derive their outputs).
+    ///
+    /// # Panics
+    ///
+    /// If `every` is zero, or if `src` and `dst` are not neighbours: loss
+    /// applies to one link, so a pair with no direct link would drop
+    /// nothing.
     pub fn inject_loss(&mut self, src: NodeId, dst: NodeId, every: u64) {
         self.sim.inject_loss(src, dst, every);
     }

@@ -17,7 +17,10 @@
 //! that wraps the network in a fresh [`Sim`] routes over the trees every
 //! earlier run already built. Mutation is copy-on-write: it copies the
 //! topology if a clone shares it and starts the mutated network on an
-//! empty route table.
+//! empty route table. Hop-count trees, from which the paper's `route`
+//! tables are installed, come from one breadth-first search each and
+//! belong to their caller; they tie-break exactly as a unit-cost Dijkstra
+//! would (see [`Network::hop_tree`]).
 //!
 //! The simulator is generic over the message type `M`, so the declarative
 //! networking engine layers its tuples (and the provenance query engine its

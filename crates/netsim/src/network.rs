@@ -141,7 +141,7 @@ impl Network {
             .routes
             .by_src
             .get_or_init(|| (0..self.adj.len()).map(|_| OnceLock::new()).collect());
-        let pred = slots[src.index()].get_or_init(|| self.tree(src, latency_cost));
+        let pred = slots[src.index()].get_or_init(|| self.latency_preds(src));
         Ok(PathTree {
             net: self,
             src,
@@ -149,15 +149,18 @@ impl Network {
         })
     }
 
-    /// The hop-count shortest-path tree rooted at `src`, built afresh and
-    /// owned by the caller: installing the paper's precomputed `route`
-    /// tables asks for each source's tree once.
+    /// The hop-count shortest-path tree rooted at `src`, built afresh by
+    /// one breadth-first search and owned by the caller: installing the
+    /// paper's precomputed `route` tables asks for each source's tree
+    /// once. Among equal-hop paths, each node's predecessor is its
+    /// smallest-id neighbour one hop nearer `src`: the tree a unit-cost
+    /// Dijkstra builds.
     pub fn hop_tree(&self, src: NodeId) -> Result<PathTree<'_>> {
         self.check(src)?;
         Ok(PathTree {
             net: self,
             src,
-            pred: Cow::Owned(self.tree(src, |_| 1).into_vec()),
+            pred: Cow::Owned(self.hop_preds(src)),
         })
     }
 
@@ -193,12 +196,13 @@ impl Network {
         self.latency_tree(src)?.bottleneck_bps(dst)
     }
 
-    /// Dijkstra from `src` over the whole graph: each node's predecessor
-    /// on its cheapest path, [`UNREACHED`] where there is none, and `src`
-    /// for `src` itself. The heap pops `(distance, node id)` pairs in
-    /// ascending order, so every node an early-exit search towards any
-    /// destination settles gets the same predecessor here.
-    fn tree(&self, src: NodeId, cost: impl Fn(&Link) -> u64) -> Preds {
+    /// Dijkstra by link latency from `src` over the whole graph: each
+    /// node's predecessor on its cheapest path, [`UNREACHED`] where there
+    /// is none, and `src` for `src` itself. The heap pops
+    /// `(distance, node id)` pairs in ascending order, so every node an
+    /// early-exit search towards any destination settles gets the same
+    /// predecessor here.
+    fn latency_preds(&self, src: NodeId) -> Preds {
         let n = self.adj.len();
         let mut dist = vec![u64::MAX; n];
         let mut pred = vec![UNREACHED; n];
@@ -211,7 +215,7 @@ impl Network {
                 continue;
             }
             for (v, link) in &self.adj[u as usize] {
-                let nd = d + cost(link);
+                let nd = d + latency_cost(link);
                 if nd < dist[v.index()] {
                     dist[v.index()] = nd;
                     pred[v.index()] = u;
@@ -220,6 +224,71 @@ impl Network {
             }
         }
         pred.into_boxed_slice()
+    }
+
+    /// Breadth-first search from `src`, one level at a time: each level
+    /// is expanded in ascending node id, and a node's predecessor is set
+    /// when it is first found. Unreached nodes and `src` read as in
+    /// [`Network::latency_preds`].
+    ///
+    /// This is the predecessor array a unit-cost Dijkstra builds, by
+    /// construction. That Dijkstra pops `(hops, node id)` pairs in
+    /// ascending order and replaces a predecessor only on a strict
+    /// improvement, so the first neighbour it pops sets a node's
+    /// predecessor for good: the smallest-id neighbour one level up. The
+    /// search here finds each node first from exactly that neighbour,
+    /// because it expands the level above in ascending id and no earlier
+    /// level reaches the node.
+    fn hop_preds(&self, src: NodeId) -> Vec<u32> {
+        let mut pred = vec![UNREACHED; self.adj.len()];
+        pred[src.index()] = src.0;
+        // Nodes in the order they are found: `order[start..end]` is the
+        // level being expanded, and the nodes it finds go after `end`.
+        let mut order = vec![src.0];
+        let mut start = 0;
+        while start < order.len() {
+            let end = order.len();
+            order[start..end].sort_unstable();
+            for i in start..end {
+                let u = order[i];
+                for (v, _) in &self.adj[u as usize] {
+                    if pred[v.index()] == UNREACHED {
+                        pred[v.index()] = u;
+                        order.push(v.0);
+                    }
+                }
+            }
+            start = end;
+        }
+        pred
+    }
+
+    /// The unit-cost Dijkstra that built hop trees before the
+    /// breadth-first search, kept as the tests' oracle for
+    /// [`Network::hop_preds`].
+    #[cfg(test)]
+    fn unit_dijkstra_preds(&self, src: NodeId) -> Vec<u32> {
+        let n = self.adj.len();
+        let mut dist = vec![u64::MAX; n];
+        let mut pred = vec![UNREACHED; n];
+        let mut heap = BinaryHeap::new();
+        dist[src.index()] = 0;
+        pred[src.index()] = src.0;
+        heap.push(Reverse((0u64, src.0)));
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if d > dist[u as usize] {
+                continue;
+            }
+            for (v, _) in &self.adj[u as usize] {
+                let nd = d + 1;
+                if nd < dist[v.index()] {
+                    dist[v.index()] = nd;
+                    pred[v.index()] = u;
+                    heap.push(Reverse((nd, v.0)));
+                }
+            }
+        }
+        pred
     }
 
     /// The early-exit Dijkstra the route trees replaced, kept as the
@@ -605,6 +674,45 @@ mod tests {
         }
     }
 
+    /// Every source's hop tree, read as a whole predecessor array,
+    /// equals the unit-cost Dijkstra's.
+    fn assert_hop_preds_match_dijkstra(net: &Network) {
+        for s in net.nodes() {
+            let tree = net.hop_tree(s).unwrap();
+            assert_eq!(*tree.pred, *net.unit_dijkstra_preds(s), "source {s}");
+        }
+    }
+
+    #[test]
+    fn hop_tree_breaks_ties_by_node_id_not_link_order() {
+        // n0 links to n3 before n1, and both reach n2 in two hops; n2
+        // also lists n3 first. Dijkstra settles n1 before n3, so n2's
+        // predecessor is n1.
+        let mut net = Network::with_nodes(4);
+        let l = Link::new(SimTime::from_millis(1), 1_000_000);
+        net.add_link(n(0), n(3), l).unwrap();
+        net.add_link(n(0), n(1), l).unwrap();
+        net.add_link(n(3), n(2), l).unwrap();
+        net.add_link(n(1), n(2), l).unwrap();
+        let tree = net.hop_tree(n(0)).unwrap();
+        assert_eq!(*tree.pred, [0, 0, 1, 0]);
+        assert_eq!(tree.path(n(2)).unwrap(), vec![n(0), n(1), n(2)]);
+        assert_hop_preds_match_dijkstra(&net);
+    }
+
+    #[test]
+    fn hop_preds_match_dijkstra_on_random_networks() {
+        for seed in 0..8 {
+            let mut rng = dpc_common::SeededRng::seed_from_u64(0x15_000 + seed);
+            assert_hop_preds_match_dijkstra(&random_network(&mut rng, 40));
+        }
+    }
+
+    #[test]
+    fn hop_preds_match_dijkstra_on_bench_topology() {
+        assert_hop_preds_match_dijkstra(&bench_topology());
+    }
+
     #[test]
     fn trees_match_oracle_on_random_networks() {
         for seed in 0..8 {
@@ -630,10 +738,8 @@ mod tests {
     /// debug build, ~40 ms in a release one.
     const STRIDE: usize = if cfg!(debug_assertions) { 243 } else { 7 };
 
-    /// The dpcbench forwarding topology (972 nodes, its topology seed
-    /// 42), every destination from a spread of sources.
-    #[test]
-    fn trees_match_oracle_on_bench_topology() {
+    /// The dpcbench forwarding topology: 972 nodes, its topology seed 42.
+    fn bench_topology() -> Network {
         let ts = crate::topo::transit_stub(
             &mut dpc_common::SeededRng::seed_from_u64(42),
             &crate::topo::TransitStubParams {
@@ -644,7 +750,14 @@ mod tests {
             },
         );
         assert_eq!(ts.net.node_count(), 972);
-        assert_trees_match_oracle(&ts.net, ts.net.nodes().step_by(STRIDE));
+        ts.net
+    }
+
+    /// The bench topology, every destination from a spread of sources.
+    #[test]
+    fn trees_match_oracle_on_bench_topology() {
+        let net = bench_topology();
+        assert_trees_match_oracle(&net, net.nodes().step_by(STRIDE));
     }
 
     #[test]

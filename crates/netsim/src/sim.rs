@@ -6,9 +6,9 @@
 //! accounting. It is generic over the message payload `M`.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
-use dpc_common::{Error, NodeId, Result};
+use dpc_common::{Error, FastMap, NodeId, Result};
 use dpc_telemetry::{AttrValue, Counter, Hist, PerNode, SpanContext, TelemetryHandle};
 
 use crate::network::Network;
@@ -82,12 +82,12 @@ pub struct Sim<M> {
     seq: u64,
     heap: BinaryHeap<Reverse<Pending<M>>>,
     /// Next instant each directed link is free to start transmitting.
-    link_free: HashMap<(NodeId, NodeId), SimTime>,
+    link_free: FastMap<(NodeId, NodeId), SimTime>,
     /// Cumulative transmission time charged per directed link,
     /// nanoseconds (drives the utilization time series).
-    link_busy: HashMap<(NodeId, NodeId), u64>,
+    link_busy: FastMap<(NodeId, NodeId), u64>,
     /// Fault injection (see [`Sim::inject_loss`]).
-    loss: HashMap<(NodeId, NodeId), Loss>,
+    loss: FastMap<(NodeId, NodeId), Loss>,
     dropped: u64,
     stats: TrafficStats,
     telemetry: Option<TelemetryHandle>,
@@ -104,9 +104,9 @@ impl<M> Sim<M> {
             now: SimTime::ZERO,
             seq: 0,
             heap: BinaryHeap::new(),
-            link_free: HashMap::new(),
-            link_busy: HashMap::new(),
-            loss: HashMap::new(),
+            link_free: FastMap::default(),
+            link_busy: FastMap::default(),
+            loss: FastMap::default(),
             dropped: 0,
             stats: TrafficStats::new(),
             telemetry: None,
@@ -166,8 +166,17 @@ impl<M> Sim<M> {
     /// `every`-th message transmitted on it is silently dropped (the
     /// bandwidth it consumed is still accounted — it was on the wire).
     /// Used for failure-injection testing.
+    ///
+    /// # Panics
+    ///
+    /// If `every` is zero, or if `src` and `dst` share no direct link: no
+    /// message could ever cross it, so the injection would test nothing.
     pub fn inject_loss(&mut self, src: NodeId, dst: NodeId, every: u64) {
         assert!(every >= 1, "loss period must be at least 1");
+        assert!(
+            self.net.link(src, dst).is_some(),
+            "no link {src}-{dst} to inject loss on"
+        );
         self.loss.insert((src, dst), Loss { every, count: 0 });
     }
 
@@ -681,6 +690,17 @@ mod tests {
         assert_eq!(sim.dropped(), 2);
         // Bandwidth was still consumed by the dropped messages.
         assert_eq!(sim.stats().messages(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "no link n0-n2 to inject loss on")]
+    fn loss_on_a_missing_link_panics() {
+        let mut net = Network::with_nodes(3);
+        let l = Link::new(SimTime::from_millis(1), 8_000);
+        net.add_link(n(0), n(1), l).unwrap();
+        net.add_link(n(1), n(2), l).unwrap();
+        let mut sim: Sim<()> = Sim::new(net);
+        sim.inject_loss(n(0), n(2), 1);
     }
 
     #[test]

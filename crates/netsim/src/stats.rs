@@ -2,16 +2,14 @@
 //! Bandwidth over time is the telemetry sampler's `net.bytes_total`
 //! series.
 
-use std::collections::HashMap;
-
-use dpc_common::NodeId;
+use dpc_common::{FastMap, NodeId};
 
 /// Accumulated traffic statistics for one simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct TrafficStats {
     total_bytes: u64,
     messages: u64,
-    per_link: HashMap<(NodeId, NodeId), u64>,
+    per_link: FastMap<(NodeId, NodeId), u64>,
 }
 
 impl TrafficStats {

@@ -140,8 +140,8 @@ fn lossy_forwarding_registry_matches_runtime() {
         rt.attach_telemetry(t.clone());
         forwarding::install_routes_for_pairs(&mut rt, &pairs).unwrap();
         // Drop every third message on each pair's first hop.
-        for &(s, _) in &pairs {
-            let (next, _) = rt.net().neighbors(s).next().unwrap();
+        for &(s, d) in &pairs {
+            let next = rt.net().hop_tree(s).unwrap().path(d).unwrap()[1];
             rt.inject_loss(s, next, 3);
         }
         for (i, &(s, d)) in pairs.iter().enumerate() {
