@@ -71,7 +71,7 @@ fn main() {
     // Ablation: Basic's query-time re-derivation cost as the chain grows —
     // the trade Section 4 makes to drop intermediate tuples from storage.
     use dpc_core::reconstruct::{reconstruct, ChainLevel};
-    let delp = programs::packet_forwarding();
+    let plans = dpc_engine::PlanSet::compile(&programs::packet_forwarding()).unwrap();
     let fns = dpc_engine::FnRegistry::new();
     for hops in [2usize, 4, 8, 16] {
         // A chain of `hops` r1 levels plus the final r2.
@@ -96,7 +96,7 @@ fn main() {
             forwarding::payload(0),
         );
         b.bench(&format!("reconstruct_chain/{hops}_hops"), || {
-            reconstruct(&delp, &fns, black_box(&chain), black_box(&event)).unwrap()
+            reconstruct(&plans, &fns, black_box(&chain), black_box(&event)).unwrap()
         });
     }
 

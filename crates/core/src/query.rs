@@ -27,7 +27,7 @@
 //! [`QueryCostModel`].
 
 use dpc_common::{Error, EvId, NodeId, Result, Rid, StorageSize, Tuple, Vid};
-use dpc_engine::{FnRegistry, ProvRecorder, Runtime};
+use dpc_engine::{FnRegistry, PlanSet, ProvRecorder, Runtime};
 use dpc_ndlog::Delp;
 use dpc_netsim::{Network, Sim, SimTime};
 use dpc_telemetry::{AttrValue, SpanContext, TelemetryHandle};
@@ -40,12 +40,15 @@ use crate::storage::ProvRow;
 use crate::tree::ProvTree;
 
 /// Resolves tuple contents at query time: the leaf tuples referenced by
-/// `VIDS` columns and the materialized input events referenced by `EVID`.
+/// `VIDS` columns and the materialized input events referenced by `EVID`,
+/// plus the compiled rules that re-derive the intermediate tuples.
 pub trait TupleResolver {
     /// The input event materialized at `node` under `evid`.
     fn event_by_evid(&self, node: NodeId, evid: &EvId) -> Option<&Tuple>;
     /// Any tuple stored at `node` by content hash.
     fn tuple_by_vid(&self, node: NodeId, vid: &Vid) -> Option<&Tuple>;
+    /// The deployed program's compiled rules.
+    fn plans(&self) -> &PlanSet;
 }
 
 impl<R: ProvRecorder> TupleResolver for Runtime<R> {
@@ -54,6 +57,9 @@ impl<R: ProvRecorder> TupleResolver for Runtime<R> {
     }
     fn tuple_by_vid(&self, node: NodeId, vid: &Vid) -> Option<&Tuple> {
         Runtime::tuple_by_vid(self, node, vid)
+    }
+    fn plans(&self) -> &PlanSet {
+        Runtime::plans(self)
     }
 }
 
@@ -79,8 +85,8 @@ impl Default for QueryCostModel {
 pub struct QueryCtx<'a> {
     /// The network the query's messages travel.
     pub net: &'a Network,
-    /// The deployed program (for reconstruction).
-    pub delp: &'a Delp,
+    /// The deployed program's compiled rules (for reconstruction).
+    pub plans: &'a PlanSet,
     /// User-defined functions (for reconstruction).
     pub fns: &'a FnRegistry,
     /// Tuple content resolution.
@@ -94,7 +100,7 @@ impl<'a> QueryCtx<'a> {
     pub fn from_runtime<R: ProvRecorder>(rt: &'a Runtime<R>) -> QueryCtx<'a> {
         QueryCtx {
             net: rt.net(),
-            delp: rt.delp(),
+            plans: rt.plans(),
             fns: rt.fns(),
             resolver: rt,
             cost: QueryCostModel::default(),
@@ -384,7 +390,7 @@ impl Walk for BasicWalk<'_> {
     }
 
     fn assemble(&self, _: &Tuple, levels: Vec<ChainLevel>, events: Vec<Tuple>) -> Result<ProvTree> {
-        reconstruct(self.ctx.delp, self.ctx.fns, &levels, &events[0])
+        reconstruct(self.ctx.plans, self.ctx.fns, &levels, &events[0])
     }
 }
 
@@ -459,7 +465,7 @@ impl Walk for AdvancedWalk<'_> {
     }
 
     fn assemble(&self, _: &Tuple, levels: Vec<ChainLevel>, events: Vec<Tuple>) -> Result<ProvTree> {
-        reconstruct(self.ctx.delp, self.ctx.fns, &levels, &events[0])
+        reconstruct(self.ctx.plans, self.ctx.fns, &levels, &events[0])
     }
 }
 
@@ -654,10 +660,7 @@ pub fn query_advanced(
     output: &Tuple,
     evid: &EvId,
 ) -> Result<QueryResult> {
-    let (net, resolver, cost) = (ctx.net, ctx.resolver, ctx.cost);
-    simulate_query_advanced(
-        net, rec, resolver, ctx.delp, ctx.fns, cost, output, evid, None,
-    )
+    traced_query_advanced(ctx, rec, output, evid, None)
 }
 
 /// The full `QUERY` of Appendix E (Figure 18): return *every* derivation
@@ -695,13 +698,14 @@ pub fn query_advanced_all(
 }
 
 /// [`query_advanced`] with every dependency spelled out and an optional
-/// trace.
+/// trace. Reconstruction runs on `resolver`'s compiled plans; the program
+/// argument is not read.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_query_advanced(
     net: &Network,
     rec: &AdvancedRecorder,
     resolver: &dyn TupleResolver,
-    delp: &Delp,
+    _delp: &Delp,
     fns: &FnRegistry,
     cost: QueryCostModel,
     output: &Tuple,
@@ -710,11 +714,22 @@ pub fn simulate_query_advanced(
 ) -> Result<SimulatedQuery> {
     let ctx = &QueryCtx {
         net,
-        delp,
+        plans: resolver.plans(),
         fns,
         resolver,
         cost,
     };
+    traced_query_advanced(ctx, rec, output, evid, trace)
+}
+
+/// [`query_advanced`] with an optional trace.
+fn traced_query_advanced(
+    ctx: &QueryCtx<'_>,
+    rec: &AdvancedRecorder,
+    output: &Tuple,
+    evid: &EvId,
+    trace: Option<&QueryTrace>,
+) -> Result<SimulatedQuery> {
     let walk = AdvancedWalk {
         rec,
         ctx,

@@ -5,11 +5,13 @@
 //! labels and the concrete slow-changing tuples at each level) and the
 //! input event tuple, the full provenance tree — including every
 //! intermediate event tuple — is recovered by re-executing the rules
-//! bottom-up.
+//! bottom-up. Each level replays the rule's compiled plan
+//! ([`RulePlan::replay`](dpc_engine::RulePlan::replay)): every join step is
+//! matched against the slow tuple recorded for it, so the join can use only
+//! what the original execution used.
 
 use dpc_common::{Error, Result, Tuple};
-use dpc_engine::{eval_rule, Database, FnRegistry};
-use dpc_ndlog::Delp;
+use dpc_engine::{FnRegistry, PlanSet};
 
 use crate::tree::ProvTree;
 
@@ -22,13 +24,13 @@ pub struct ChainLevel {
     pub slow: Vec<Tuple>,
 }
 
-/// Re-execute `chain` (root-first) bottom-up from `event`, returning the
-/// full provenance tree.
+/// Re-execute `chain` (root-first) bottom-up from `event` on the
+/// program's compiled `plans`, returning the full provenance tree.
 ///
 /// Fails if a rule label is unknown, a re-execution does not fire exactly
 /// as recorded, or the chain is empty.
 pub fn reconstruct(
-    delp: &Delp,
+    plans: &PlanSet,
     fns: &FnRegistry,
     chain: &[ChainLevel],
     event: &Tuple,
@@ -42,31 +44,20 @@ pub fn reconstruct(
     let mut cur_event = event.clone();
 
     for level in chain.iter().rev() {
-        let rule = delp.program().rule(&level.rule).ok_or_else(|| {
+        let plan = plans.plan(&level.rule).ok_or_else(|| {
             Error::ProvenanceLookup(format!("unknown rule label `{}`", level.rule))
         })?;
-        // A miniature database holding exactly the recorded slow tuples:
-        // the join can only use what the original execution used.
-        let mut db = Database::new();
-        for s in &level.slow {
-            db.insert(s.clone());
-        }
-        let firings = eval_rule(rule, &cur_event, &db, fns)?;
-        let firing = firings
-            .into_iter()
-            .find(|f| f.slow == level.slow)
-            .ok_or_else(|| {
-                Error::ProvenanceLookup(format!(
-                    "re-execution of `{}` on {cur_event} did not reproduce the recorded firing",
-                    level.rule
-                ))
-            })?;
-        let head = firing.head;
+        let head = plan.replay(&cur_event, &level.slow, fns)?.ok_or_else(|| {
+            Error::ProvenanceLookup(format!(
+                "re-execution of `{}` on {cur_event} did not reproduce the recorded firing",
+                level.rule
+            ))
+        })?;
         tree = Some(match tree {
             None => ProvTree::Leaf {
                 rule: level.rule.clone(),
                 output: head.clone(),
-                event: cur_event.clone(),
+                event: cur_event,
                 slow: level.slow.clone(),
             },
             Some(child) => ProvTree::Node {
@@ -87,6 +78,10 @@ mod tests {
     use super::*;
     use dpc_common::{NodeId, Value};
     use dpc_ndlog::programs;
+
+    fn forwarding_plans() -> PlanSet {
+        PlanSet::compile(&programs::packet_forwarding()).unwrap()
+    }
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -134,9 +129,9 @@ mod tests {
 
     #[test]
     fn rebuilds_figure3_tree() {
-        let delp = programs::packet_forwarding();
+        let plans = forwarding_plans();
         let fns = FnRegistry::new();
-        let tree = reconstruct(&delp, &fns, &figure3_chain(), &packet(0, 0, 2, "data")).unwrap();
+        let tree = reconstruct(&plans, &fns, &figure3_chain(), &packet(0, 0, 2, "data")).unwrap();
         assert_eq!(tree.rules(), vec!["r2", "r1", "r1"]);
         assert_eq!(tree.event(), &packet(0, 0, 2, "data"));
         assert_eq!(tree.output().rel(), "recv");
@@ -149,10 +144,10 @@ mod tests {
     fn different_event_same_chain_rederives_its_own_intermediates() {
         // The shared-tree property: reconstructing the equivalent "url"
         // execution from the same chain yields its own tuples.
-        let delp = programs::packet_forwarding();
+        let plans = forwarding_plans();
         let fns = FnRegistry::new();
-        let a = reconstruct(&delp, &fns, &figure3_chain(), &packet(0, 0, 2, "data")).unwrap();
-        let b = reconstruct(&delp, &fns, &figure3_chain(), &packet(0, 0, 2, "url")).unwrap();
+        let a = reconstruct(&plans, &fns, &figure3_chain(), &packet(0, 0, 2, "data")).unwrap();
+        let b = reconstruct(&plans, &fns, &figure3_chain(), &packet(0, 0, 2, "url")).unwrap();
         assert!(a.equivalent(&b));
         assert_ne!(a.output(), b.output());
         assert_eq!(b.output().args()[3], Value::str("url"),);
@@ -160,21 +155,21 @@ mod tests {
 
     #[test]
     fn empty_chain_is_rejected() {
-        let delp = programs::packet_forwarding();
+        let plans = forwarding_plans();
         let fns = FnRegistry::new();
-        let err = reconstruct(&delp, &fns, &[], &packet(0, 0, 2, "x")).unwrap_err();
+        let err = reconstruct(&plans, &fns, &[], &packet(0, 0, 2, "x")).unwrap_err();
         assert!(err.to_string().contains("empty chain"), "{err}");
     }
 
     #[test]
     fn unknown_rule_is_rejected() {
-        let delp = programs::packet_forwarding();
+        let plans = forwarding_plans();
         let fns = FnRegistry::new();
         let chain = vec![ChainLevel {
             rule: "r9".into(),
             slow: vec![],
         }];
-        let err = reconstruct(&delp, &fns, &chain, &packet(0, 0, 2, "x")).unwrap_err();
+        let err = reconstruct(&plans, &fns, &chain, &packet(0, 0, 2, "x")).unwrap_err();
         assert!(err.to_string().contains("r9"), "{err}");
     }
 
@@ -182,25 +177,25 @@ mod tests {
     fn non_reproducing_chain_is_rejected() {
         // Chain claims r1 fired at n0 with a route for the wrong
         // destination — the join cannot reproduce.
-        let delp = programs::packet_forwarding();
+        let plans = forwarding_plans();
         let fns = FnRegistry::new();
         let chain = vec![ChainLevel {
             rule: "r1".into(),
             slow: vec![route(0, 9, 1)],
         }];
-        let err = reconstruct(&delp, &fns, &chain, &packet(0, 0, 2, "x")).unwrap_err();
+        let err = reconstruct(&plans, &fns, &chain, &packet(0, 0, 2, "x")).unwrap_err();
         assert!(err.to_string().contains("did not reproduce"), "{err}");
     }
 
     #[test]
     fn event_mismatching_chain_tail_is_rejected() {
         // The event is at n1 but the chain tail expects a join at n0.
-        let delp = programs::packet_forwarding();
+        let plans = forwarding_plans();
         let fns = FnRegistry::new();
         let chain = vec![ChainLevel {
             rule: "r1".into(),
             slow: vec![route(0, 2, 1)],
         }];
-        assert!(reconstruct(&delp, &fns, &chain, &packet(1, 0, 2, "x")).is_err());
+        assert!(reconstruct(&plans, &fns, &chain, &packet(1, 0, 2, "x")).is_err());
     }
 }

@@ -18,8 +18,11 @@
 //! Responsibilities of this crate:
 //!
 //! * [`db`] — per-node relational databases of base and derived tuples.
-//! * [`eval`] — rule matching: unification, joins against slow tables,
-//!   arithmetic constraints, assignments, user-defined functions.
+//! * [`plan`] — rule evaluation: every rule compiled to a [`RulePlan`]
+//!   whose joins probe secondary indexes on the slow tables, and which
+//!   replays a recorded firing for query-time reconstruction.
+//! * [`eval`] — what evaluation shares: user-defined functions, firings,
+//!   arithmetic and comparisons.
 //! * [`recorder`] — the [`ProvRecorder`] trait, [`ProvMeta`] (the metadata
 //!   tagged along with tuples on the wire, carrying `existFlag`, `evid`
 //!   and the provenance chain reference), and recorder combinators.
@@ -33,7 +36,7 @@ pub mod recorder;
 pub mod runtime;
 
 pub use db::{Database, Table};
-pub use eval::{eval_rule, Bindings, Firing, FnRegistry};
+pub use eval::{Firing, FnRegistry};
 pub use plan::{EvalStats, PlanSet, RulePlan};
 pub use recorder::{NoopRecorder, ProvMeta, ProvRecorder, Stage, TeeRecorder};
 pub use runtime::{OutputRecord, RunMetrics, Runtime, RuntimeBuilder, RuntimeConfig};

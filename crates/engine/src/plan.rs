@@ -1,11 +1,7 @@
 //! Compiled rule plans: slot-mapped bindings and index-driven joins.
 //!
-//! [`RulePlan::eval`] is the runtime's only rule evaluator.
-//! [`eval_rule`](crate::eval::eval_rule) interprets a rule from its AST on
-//! every event: variables are looked up by string in a `HashMap` that is
-//! cloned once per *candidate* row, and every condition atom is joined by
-//! scanning its entire table. [`RulePlan`] moves all of the per-event
-//! name resolution to build time:
+//! A [`RulePlan`] is the only rule evaluator outside the tests. Compiling
+//! a rule moves all of the per-event name resolution to build time:
 //!
 //! * every variable gets a dense **slot** index, so a binding set is a
 //!   row of `Option<Value>`s, copied only for rows that actually match;
@@ -19,20 +15,24 @@
 //! * constraints, assignments and the head template are compiled to
 //!   slot-addressed expressions.
 //!
+//! A plan runs two ways. [`RulePlan::eval`] joins an incoming event
+//! against a node's tables, as the runtime does. [`RulePlan::replay`]
+//! re-derives one recorded firing for `dpc_core::reconstruct`: each join
+//! step is matched against the slow tuple the provenance recorded for it,
+//! with no table at all.
+//!
 //! An evaluation allocates only what it returns (the firings, their head
 //! tuples and slow-tuple lists). The partial matches live in two flat
 //! arenas, one binding row and one slow-tuple row per match, that swap
 //! between join steps; join keys and user-function arguments are gathered
 //! into buffers. All of these are per-thread and reused from call to call.
 //!
-//! The compiled path is **firing-identical** to the interpreter: it runs
-//! breadth-first like the interpreter (every partial match passes a step
-//! before any passes the next), an index probe yields exactly the scan's
-//! matching rows in insertion order, and steps execute in source order with
-//! the same filter/bind semantics — so heads and slow-tuple lists come out
-//! byte-for-byte equal, in the same order, and so does the first error
-//! (see the `differential` integration test, which keeps the interpreter
-//! as this module's oracle).
+//! Evaluation runs breadth-first (every partial match passes a step before
+//! any passes the next), an index probe yields exactly a scan's matching
+//! rows in insertion order, and steps execute in source order. The
+//! `differential` integration test keeps a naive AST interpreter as the
+//! oracle and checks that plans produce its firings byte-for-byte, in the
+//! same order, with the same first error, and that every firing replays.
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -258,8 +258,7 @@ impl SlotMap {
 impl RulePlan {
     /// Compile `rule`. Fails for rules with no event atom and for rules
     /// whose constraint or assignment reads a variable no earlier atom or
-    /// assignment binds (the analyzer's W0202); the interpreter rejects
-    /// both at evaluation time instead.
+    /// assignment binds (the analyzer's W0202).
     pub fn compile(rule: &Rule) -> Result<RulePlan> {
         let event_atom = rule
             .event()
@@ -327,8 +326,8 @@ impl RulePlan {
             }
         }
 
-        // Head template. Unbound head variables still get a slot so the
-        // runtime can report the same error as the interpreter.
+        // Head template. Unbound head variables still get a slot so
+        // evaluation can name them in its error.
         let head = rule
             .head
             .args
@@ -363,9 +362,7 @@ impl RulePlan {
     ///
     /// Takes the database mutably so join probes can build missing
     /// secondary indexes in place; the logical table contents are never
-    /// modified. Produces exactly the firings (and errors) of
-    /// [`eval_rule`](crate::eval::eval_rule) on the same inputs, in the
-    /// same order.
+    /// modified. Returns every firing, in the order the joins find them.
     pub fn eval(
         &self,
         event: &Tuple,
@@ -373,9 +370,6 @@ impl RulePlan {
         fns: &FnRegistry,
         stats: &mut EvalStats,
     ) -> Result<Vec<Firing>> {
-        if event.rel() != self.event.rel || event.arity() != self.event.arity {
-            return Ok(Vec::new());
-        }
         let mut scratch = SCRATCH.take();
         let out = self.eval_in(event, db, fns, stats, &mut scratch);
         scratch.clear();
@@ -400,26 +394,14 @@ impl RulePlan {
         } = scratch;
         let n = self.names.len();
         cur.bind.resize(n, None);
-        for (term, val) in self.event.terms.iter().zip(event.args()) {
-            match term {
-                MatchTerm::Const(c) => {
-                    if c != val {
-                        return Ok(Vec::new());
-                    }
-                }
-                MatchTerm::Bind(s) => cur.bind[*s] = Some(val.clone()),
-                MatchTerm::Check(s) => {
-                    if cur.bind[*s].as_ref() != Some(val) {
-                        return Ok(Vec::new());
-                    }
-                }
-            }
+        if !self.match_event(event, &mut cur.bind) {
+            return Ok(Vec::new());
         }
         cur.len = 1;
 
-        // Breadth-first, as the interpreter: every partial match passes a
-        // step before any passes the next, so firings and the first error
-        // come out in the interpreter's order.
+        // Breadth-first: every partial match passes a step before any
+        // passes the next, so firings and the first error come out in
+        // source order.
         let mut width = 0; // slow tuples per partial: the joins done so far
         for step in &self.steps {
             match step {
@@ -461,9 +443,7 @@ impl RulePlan {
                     let mut kept = 0;
                     for i in 0..cur.len {
                         let (bind, _) = cur.get(i, n, width);
-                        let lv = self.eval_expr(left, bind, fns, args)?;
-                        let rv = self.eval_expr(right, bind, fns, args)?;
-                        if compare(*op, &lv, &rv)? {
+                        if self.test(left, *op, right, bind, fns, args)? {
                             cur.move_to(i, kept, n, width);
                             kept += 1;
                         }
@@ -473,14 +453,11 @@ impl RulePlan {
                 PlanStep::Assign { slot, expr } => {
                     let mut kept = 0;
                     for i in 0..cur.len {
-                        let v = self.eval_expr(expr, cur.get(i, n, width).0, fns, args)?;
-                        let bound = &mut cur.bind[i * n + *slot];
-                        match bound {
-                            Some(existing) if *existing != v => continue, // filter
-                            _ => *bound = Some(v),
+                        let bind = &mut cur.bind[i * n..][..n];
+                        if self.assign(*slot, expr, bind, fns, args)? {
+                            cur.move_to(i, kept, n, width);
+                            kept += 1;
                         }
-                        cur.move_to(i, kept, n, width);
-                        kept += 1;
                     }
                     cur.truncate(kept, n, width);
                 }
@@ -493,22 +470,122 @@ impl RulePlan {
         (0..cur.len)
             .map(|i| {
                 let (bind, slow) = cur.get(i, n, width);
-                let args = self
-                    .head
-                    .iter()
-                    .map(|src| match src {
-                        ValSource::Const(c) => Ok(c.clone()),
-                        ValSource::Slot(s) => bind[*s].clone().ok_or_else(|| {
-                            Error::Eval(format!("unbound head variable `{}`", self.names[*s]))
-                        }),
-                    })
-                    .collect::<Result<Vec<_>>>()?;
                 Ok(Firing {
-                    head: Tuple::from_rel(self.head_rel.clone(), args),
+                    head: self.head(bind)?,
                     slow: slow.to_vec(),
                 })
             })
             .collect()
+    }
+
+    /// Re-derive the firing of this plan for `event` that joined exactly
+    /// `slow`, and return its head.
+    ///
+    /// Steps run in source order, so join step *k* matches `slow[k]`: its
+    /// relation, arity, key positions and remaining terms are checked
+    /// against the bindings so far, where [`RulePlan::eval`] would probe a
+    /// table. Filters and assignments run as in `eval`. Returns `Ok(None)`
+    /// when a check fails or `slow` holds more or fewer tuples than the
+    /// plan joins, so the result is the head of the firing of `eval` whose
+    /// slow list equals `slow`, if `eval` had those rows to join.
+    pub fn replay(&self, event: &Tuple, slow: &[Tuple], fns: &FnRegistry) -> Result<Option<Tuple>> {
+        let mut bind = vec![None; self.names.len()];
+        if !self.match_event(event, &mut bind) {
+            return Ok(None);
+        }
+        let (mut rows, mut args) = (slow.iter(), Vec::new());
+        for step in &self.steps {
+            let passed = match step {
+                PlanStep::Join(j) => rows.next().is_some_and(|row| j.replay_row(row, &mut bind)),
+                PlanStep::Filter { left, op, right } => {
+                    self.test(left, *op, right, &bind, fns, &mut args)?
+                }
+                PlanStep::Assign { slot, expr } => {
+                    self.assign(*slot, expr, &mut bind, fns, &mut args)?
+                }
+            };
+            if !passed {
+                return Ok(None);
+            }
+        }
+        if rows.next().is_some() {
+            return Ok(None);
+        }
+        self.head(&bind).map(Some)
+    }
+
+    /// Match the event atom against `event`, binding its variables into
+    /// `bind`, which starts unbound.
+    fn match_event(&self, event: &Tuple, bind: &mut [Option<Value>]) -> bool {
+        if event.rel() != self.event.rel || event.arity() != self.event.arity {
+            return false;
+        }
+        for (term, val) in self.event.terms.iter().zip(event.args()) {
+            match term {
+                MatchTerm::Const(c) => {
+                    if c != val {
+                        return false;
+                    }
+                }
+                MatchTerm::Bind(s) => bind[*s] = Some(val.clone()),
+                MatchTerm::Check(s) => {
+                    if bind[*s].as_ref() != Some(val) {
+                        return false;
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    /// Whether the constraint `left op right` holds under `bind`.
+    fn test(
+        &self,
+        left: &PlanExpr,
+        op: CmpOp,
+        right: &PlanExpr,
+        bind: &[Option<Value>],
+        fns: &FnRegistry,
+        args: &mut Vec<Value>,
+    ) -> Result<bool> {
+        let lv = self.eval_expr(left, bind, fns, args)?;
+        let rv = self.eval_expr(right, bind, fns, args)?;
+        compare(op, &lv, &rv)
+    }
+
+    /// Run the assignment `slot := expr` on `bind`. An already bound slot
+    /// acts as a filter: returns `false` when the values differ.
+    fn assign(
+        &self,
+        slot: usize,
+        expr: &PlanExpr,
+        bind: &mut [Option<Value>],
+        fns: &FnRegistry,
+        args: &mut Vec<Value>,
+    ) -> Result<bool> {
+        let v = self.eval_expr(expr, bind, fns, args)?;
+        match &bind[slot] {
+            Some(existing) if *existing != v => Ok(false),
+            _ => {
+                bind[slot] = Some(v);
+                Ok(true)
+            }
+        }
+    }
+
+    /// The head tuple under `bind`.
+    fn head(&self, bind: &[Option<Value>]) -> Result<Tuple> {
+        let args = self
+            .head
+            .iter()
+            .map(|src| match src {
+                ValSource::Const(c) => Ok(c.clone()),
+                ValSource::Slot(s) => bind[*s].clone().ok_or_else(|| {
+                    Error::Eval(format!("unbound head variable `{}`", self.names[*s]))
+                }),
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(Tuple::from_rel(self.head_rel.clone(), args))
     }
 
     /// Audit the compiled plan against its own source rule.
@@ -838,39 +915,67 @@ impl JoinStep {
                 return;
             }
         }
-        for (p, term) in &self.rest {
-            let val = &args[*p];
-            match term {
-                MatchTerm::Const(c) => {
-                    if c != val {
-                        return;
-                    }
-                }
-                MatchTerm::Bind(_) => {}
-                MatchTerm::Check(s) => {
-                    // Bound before this atom, or by an earlier position of
-                    // it (a repeated variable).
-                    let bound = bind[*s].as_ref().or_else(|| {
-                        self.rest.iter().find_map(|(q, t)| {
-                            matches!(t, MatchTerm::Bind(b) if b == s).then(|| &args[*q])
-                        })
-                    });
-                    if bound != Some(val) {
-                        return;
-                    }
-                }
-            }
+        if !self.matches_rest(args, bind) {
+            return;
         }
         let base = next.bind.len();
         next.bind.extend_from_slice(bind);
-        for (p, term) in &self.rest {
-            if let MatchTerm::Bind(s) = term {
-                next.bind[base + *s] = Some(args[*p].clone());
-            }
-        }
+        self.bind_rest(args, &mut next.bind[base..]);
         next.slow.extend_from_slice(slow);
         next.slow.push(row.clone());
         next.len += 1;
+    }
+
+    /// Whether a row's `args` (of this step's arity) agree with `bind` on
+    /// every non-key position: constants equal, repeated variables equal.
+    fn matches_rest(&self, args: &[Value], bind: &[Option<Value>]) -> bool {
+        self.rest.iter().all(|(p, term)| match term {
+            MatchTerm::Const(c) => *c == args[*p],
+            MatchTerm::Bind(_) => true,
+            // Bound before this atom, or by an earlier position of it (a
+            // repeated variable).
+            MatchTerm::Check(s) => {
+                let bound = bind[*s].as_ref().or_else(|| {
+                    self.rest.iter().find_map(|(q, t)| {
+                        matches!(t, MatchTerm::Bind(b) if b == s).then(|| &args[*q])
+                    })
+                });
+                bound == Some(&args[*p])
+            }
+        })
+    }
+
+    /// Match `row`, the slow tuple recorded for this step, against the
+    /// partial match `bind`, and bind the step's variables from it. Checks
+    /// what a probe of the step's table would: relation, arity, key
+    /// positions and the remaining terms.
+    fn replay_row(&self, row: &Tuple, bind: &mut [Option<Value>]) -> bool {
+        if row.rel() != self.rel || row.arity() != self.arity {
+            return false;
+        }
+        let args = row.args();
+        let keyed = self
+            .key_positions
+            .iter()
+            .zip(&self.key_sources)
+            .all(|(&p, src)| match src {
+                ValSource::Const(c) => args[p] == *c,
+                ValSource::Slot(s) => bind[*s].as_ref() == Some(&args[p]),
+            });
+        if !keyed || !self.matches_rest(args, bind) {
+            return false;
+        }
+        self.bind_rest(args, bind);
+        true
+    }
+
+    /// Bind the variables this step introduces from a matching row's `args`.
+    fn bind_rest(&self, args: &[Value], bind: &mut [Option<Value>]) {
+        for (p, term) in &self.rest {
+            if let MatchTerm::Bind(s) = term {
+                bind[*s] = Some(args[*p].clone());
+            }
+        }
     }
 }
 
@@ -949,34 +1054,38 @@ fn compile_expr(rule: &Rule, expr: &Expr, slots: &mut SlotMap) -> Result<PlanExp
     })
 }
 
-/// All rules of a DELP compiled once, grouped by triggering event relation
-/// in program order — the compiled counterpart of
-/// [`Delp::rules_for_event`].
+/// All rules of a DELP compiled once, in program order and grouped by
+/// triggering event relation — the compiled counterpart of
+/// [`Delp::rules_for_event`] and [`Program::rule`](dpc_ndlog::Program::rule).
 #[derive(Debug, Clone, Default)]
 pub struct PlanSet {
+    rules: Vec<Arc<RulePlan>>,
     by_event: FastMap<String, Vec<Arc<RulePlan>>>,
-    total: usize,
 }
 
 impl PlanSet {
     /// Compile every rule of `delp`.
     pub fn compile(delp: &Delp) -> Result<PlanSet> {
-        let mut by_event: FastMap<String, Vec<Arc<RulePlan>>> = FastMap::default();
-        let mut total = 0;
+        let mut set = PlanSet::default();
         for rule in delp.rules() {
-            let plan = RulePlan::compile(rule)?;
-            by_event
+            let plan = Arc::new(RulePlan::compile(rule)?);
+            set.by_event
                 .entry(plan.event.rel.clone())
                 .or_default()
-                .push(Arc::new(plan));
-            total += 1;
+                .push(plan.clone());
+            set.rules.push(plan);
         }
-        Ok(PlanSet { by_event, total })
+        Ok(set)
     }
 
     /// Plans whose event relation is `rel`, in program order.
     pub fn plans_for_event(&self, rel: &str) -> &[Arc<RulePlan>] {
         self.by_event.get(rel).map_or(&[], Vec::as_slice)
+    }
+
+    /// The first plan compiled from a rule labelled `label`.
+    pub fn plan(&self, label: &str) -> Option<&RulePlan> {
+        self.rules.iter().find(|p| p.label() == label).map(|p| &**p)
     }
 
     /// Audit every compiled plan (see [`RulePlan::audit`]) and check the
@@ -996,10 +1105,10 @@ impl PlanSet {
                 audited += 1;
             }
         }
-        if audited != self.total {
+        if audited != self.rules.len() {
             return Err(Error::Schema(format!(
-                "plan audit failed: {audited} plans in groups, {} recorded",
-                self.total
+                "plan audit failed: {audited} plans in groups, {} compiled",
+                self.rules.len()
             )));
         }
         Ok(audited)
@@ -1007,35 +1116,20 @@ impl PlanSet {
 
     /// Number of compiled plans.
     pub fn len(&self) -> usize {
-        self.total
+        self.rules.len()
     }
 
     /// Whether any plans were compiled.
     pub fn is_empty(&self) -> bool {
-        self.total == 0
+        self.rules.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::eval_rule;
     use dpc_common::NodeId;
     use dpc_ndlog::parse_program;
-
-    fn check_parity(src: &str, label: &str, event: &Tuple, db: &mut Database, fns: &FnRegistry) {
-        let p = parse_program(src).unwrap();
-        let rule = p.rule(label).unwrap();
-        let naive = eval_rule(rule, event, db, fns);
-        let plan = RulePlan::compile(rule).unwrap();
-        let mut stats = EvalStats::default();
-        let compiled = plan.eval(event, db, fns, &mut stats);
-        match (naive, compiled) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b, "firing mismatch for `{label}` on {event}"),
-            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
-            (a, b) => panic!("result kind mismatch: naive={a:?} compiled={b:?}"),
-        }
-    }
 
     fn route(loc: u32, dst: u32, next: u32) -> Tuple {
         Tuple::new(
@@ -1060,26 +1154,30 @@ mod tests {
         )
     }
 
+    fn forwarding_plan(label: &str) -> RulePlan {
+        let p = parse_program(dpc_ndlog::programs::PACKET_FORWARDING).unwrap();
+        RulePlan::compile(p.rule(label).unwrap()).unwrap()
+    }
+
     #[test]
-    fn forwarding_join_uses_index_and_matches_naive() {
+    fn forwarding_join_probes_the_index() {
         let mut db = Database::new();
         for dst in 0..50 {
             db.insert(route(1, dst, (dst + 1) % 50));
         }
         db.insert(route(1, 3, 9)); // second route for dst=3: two firings
-        let fns = FnRegistry::new();
-        let src = dpc_ndlog::programs::PACKET_FORWARDING;
-        check_parity(src, "r1", &packet(1, 1, 3, "data"), &mut db, &fns);
-        check_parity(src, "r2", &packet(3, 1, 3, "data"), &mut db, &fns);
-
-        // And the probe really was indexed.
-        let p = parse_program(src).unwrap();
-        let plan = RulePlan::compile(p.rule("r1").unwrap()).unwrap();
         let mut stats = EvalStats::default();
-        let firings = plan
-            .eval(&packet(1, 1, 3, "data"), &mut db, &fns, &mut stats)
+        let firings = forwarding_plan("r1")
+            .eval(
+                &packet(1, 1, 3, "data"),
+                &mut db,
+                &FnRegistry::new(),
+                &mut stats,
+            )
             .unwrap();
         assert_eq!(firings.len(), 2);
+        assert_eq!(firings[1].head, packet(9, 1, 3, "data"));
+        assert_eq!(firings[1].slow, vec![route(1, 3, 9)]);
         assert_eq!(stats.index_hits, 1);
         assert_eq!(stats.index_misses, 0);
     }
@@ -1087,86 +1185,91 @@ mod tests {
     #[test]
     fn unbound_join_falls_back_to_scan() {
         // s(@Y, Z) shares no variable with the event: no key positions.
-        let src = "r1 out(@X, Y, Z) :- e(@X), s(@Y, Z).";
+        let p = parse_program("r1 out(@X, Y, Z) :- e(@X), s(@Y, Z).").unwrap();
+        let plan = RulePlan::compile(p.rule("r1").unwrap()).unwrap();
         let mut db = Database::new();
         db.insert(Tuple::new("s", vec![Value::Addr(NodeId(7)), Value::Int(1)]));
-        let fns = FnRegistry::new();
         let ev = Tuple::new("e", vec![Value::Addr(NodeId(1))]);
-        check_parity(src, "r1", &ev, &mut db, &fns);
-        let p = parse_program(src).unwrap();
-        let plan = RulePlan::compile(p.rule("r1").unwrap()).unwrap();
         let mut stats = EvalStats::default();
-        plan.eval(&ev, &mut db, &fns, &mut stats).unwrap();
+        let firings = plan
+            .eval(&ev, &mut db, &FnRegistry::new(), &mut stats)
+            .unwrap();
+        assert_eq!(firings.len(), 1);
         assert_eq!(stats.index_hits, 0);
         assert_eq!(stats.index_misses, 1);
     }
 
     #[test]
-    fn repeated_vars_consts_assigns_and_constraints_match_naive() {
-        let src = r#"
-            r1 out(@X, W) :- e(@X, X, N), s(@X, Y, Y, "t"), W := N + 1, W > 1.
-        "#;
-        let mut db = Database::new();
-        db.insert(Tuple::new(
-            "s",
-            vec![
-                Value::Addr(NodeId(1)),
-                Value::Int(5),
-                Value::Int(5),
-                Value::str("t"),
-            ],
-        ));
-        db.insert(Tuple::new(
-            "s",
-            vec![
-                Value::Addr(NodeId(1)),
-                Value::Int(5),
-                Value::Int(6), // repeated-var mismatch
-                Value::str("t"),
-            ],
-        ));
-        let fns = FnRegistry::new();
-        for ev in [
-            Tuple::new(
-                "e",
-                vec![
-                    Value::Addr(NodeId(1)),
-                    Value::Addr(NodeId(1)),
-                    Value::Int(3),
-                ],
-            ),
-            Tuple::new(
-                "e",
-                // repeated event var mismatch
-                vec![
-                    Value::Addr(NodeId(1)),
-                    Value::Addr(NodeId(2)),
-                    Value::Int(3),
-                ],
-            ),
-            Tuple::new(
-                "e",
-                // constraint filters (W = 1 not > 1)
-                vec![
-                    Value::Addr(NodeId(1)),
-                    Value::Addr(NodeId(1)),
-                    Value::Int(0),
-                ],
-            ),
-        ] {
-            check_parity(src, "r1", &ev, &mut db, &fns);
-        }
+    fn replay_rederives_only_the_recorded_join() {
+        let (r1, fns) = (forwarding_plan("r1"), FnRegistry::new());
+        let ev = packet(1, 1, 3, "data");
+        let replay = |slow: &[Tuple]| r1.replay(&ev, slow, &fns).unwrap();
+        assert_eq!(replay(&[route(1, 3, 2)]), Some(packet(2, 1, 3, "data")));
+        // Wrong key (destination, location), wrong relation, wrong arity,
+        // one tuple short and one too many.
+        assert_eq!(replay(&[route(1, 4, 2)]), None);
+        assert_eq!(replay(&[route(2, 3, 2)]), None);
+        let acl = Tuple::new("acl", vec![Value::Addr(NodeId(1)), Value::Addr(NodeId(3))]);
+        assert_eq!(replay(&[acl]), None);
+        let short = Tuple::new(
+            "route",
+            vec![Value::Addr(NodeId(1)), Value::Addr(NodeId(3))],
+        );
+        assert_eq!(replay(&[short]), None);
+        assert_eq!(replay(&[]), None);
+        assert_eq!(replay(&[route(1, 3, 2), route(1, 3, 2)]), None);
+        // An event of another relation never replays.
+        assert_eq!(
+            r1.replay(&route(1, 3, 2), &[route(1, 3, 2)], &fns).unwrap(),
+            None
+        );
+        // r2 joins nothing and filters on `D == L`.
+        let r2 = forwarding_plan("r2");
+        assert_eq!(
+            r2.replay(&packet(3, 1, 3, "x"), &[], &fns)
+                .unwrap()
+                .unwrap()
+                .rel(),
+            "recv"
+        );
+        assert_eq!(r2.replay(&packet(2, 1, 3, "x"), &[], &fns).unwrap(), None);
     }
 
     #[test]
-    fn errors_match_naive() {
-        let src = "r1 out(@X, Y) :- e(@X, Z), Y := Z / 0.";
-        let mut db = Database::new();
+    fn replay_checks_repeated_variables_constants_and_assignments() {
+        let src = r#"r1 out(@X, W) :- e(@X, N), s(@X, Y, Y, "t"), W := N + Y, W > 1."#;
+        let p = parse_program(src).unwrap();
+        let plan = RulePlan::compile(p.rule("r1").unwrap()).unwrap();
         let fns = FnRegistry::new();
-        let ev = Tuple::new("e", vec![Value::Addr(NodeId(1)), Value::Int(4)]);
-        check_parity(src, "r1", &ev, &mut db, &fns);
-        let src2 = "r1 out(@X) :- e(@X, U), f_nope(U) == true.";
-        check_parity(src2, "r1", &ev.clone(), &mut db, &fns);
+        let ev = Tuple::new("e", vec![Value::Addr(NodeId(1)), Value::Int(3)]);
+        let s = |a: i64, b: i64, tag: &str| {
+            Tuple::new(
+                "s",
+                vec![
+                    Value::Addr(NodeId(1)),
+                    Value::Int(a),
+                    Value::Int(b),
+                    Value::str(tag),
+                ],
+            )
+        };
+        let out = Tuple::new("out", vec![Value::Addr(NodeId(1)), Value::Int(8)]);
+        assert_eq!(plan.replay(&ev, &[s(5, 5, "t")], &fns).unwrap(), Some(out));
+        assert_eq!(plan.replay(&ev, &[s(5, 6, "t")], &fns).unwrap(), None);
+        assert_eq!(plan.replay(&ev, &[s(5, 5, "u")], &fns).unwrap(), None);
+        assert_eq!(plan.replay(&ev, &[s(-3, -3, "t")], &fns).unwrap(), None);
+    }
+
+    #[test]
+    fn replay_reports_evaluation_errors() {
+        let p = parse_program("r1 out(@X) :- e(@X, U), f_nope(U) == true.").unwrap();
+        let plan = RulePlan::compile(&p.rules[0]).unwrap();
+        let ev = Tuple::new("e", vec![Value::Addr(NodeId(1)), Value::Int(1)]);
+        let err = plan.replay(&ev, &[], &FnRegistry::new()).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown function `f_nope`"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1263,5 +1366,7 @@ mod tests {
         assert_eq!(for_packet[0].label(), "r1");
         assert_eq!(for_packet[1].label(), "r2");
         assert!(plans.plans_for_event("recv").is_empty());
+        assert_eq!(plans.plan("r2").unwrap().label(), "r2");
+        assert!(plans.plan("r9").is_none());
     }
 }

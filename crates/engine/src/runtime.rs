@@ -435,6 +435,11 @@ impl<R: ProvRecorder> Runtime<R> {
         &self.delp
     }
 
+    /// The program's rules, compiled once when the runtime was built.
+    pub fn plans(&self) -> &PlanSet {
+        &self.plans
+    }
+
     /// The network.
     pub fn net(&self) -> &Network {
         self.sim.net()
