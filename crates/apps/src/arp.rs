@@ -18,6 +18,7 @@ pub fn who_has(client: NodeId, ip: impl AsRef<str>, rqid: i64) -> Tuple {
 /// Create an ARP runtime over `net`.
 pub fn make_runtime<R: ProvRecorder>(net: Network, recorder: R) -> Runtime<R> {
     Runtime::new(programs::arp(), net, recorder)
+        .expect("the bundled ARP program compiles and passes its audit")
 }
 
 /// Configure `clients` to use `gateway` and install `(ip, mac)` bindings

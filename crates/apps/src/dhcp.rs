@@ -20,6 +20,7 @@ pub fn discover(client: NodeId, rqid: i64) -> Tuple {
 /// Create a DHCP runtime over `net`.
 pub fn make_runtime<R: ProvRecorder>(net: Network, recorder: R) -> Runtime<R> {
     Runtime::new(programs::dhcp(), net, recorder)
+        .expect("the bundled DHCP program compiles and passes its audit")
 }
 
 /// Point `clients` at `server` and stock the server's address pool.

@@ -7,7 +7,7 @@
 //! `f_isSubDomain` predicate checks label-boundary domain suffixes.
 
 use dpc_common::{Error, NodeId, Result, Tuple, Value};
-use dpc_engine::{NoopRecorder, ProvRecorder, Runtime, RuntimeBuilder};
+use dpc_engine::{ProvRecorder, Runtime};
 use dpc_ndlog::programs;
 use dpc_netsim::topo::Tree;
 
@@ -64,29 +64,20 @@ pub struct DnsDeployment {
     pub urls: Vec<(String, NodeId, String)>,
 }
 
-/// Start a DNS runtime builder over the tree's network, with
-/// `f_isSubDomain` pre-registered — chain `.recorder(..)`, `.config(..)`,
-/// `.interest(..)` before `.build()`.
-pub fn runtime_builder(tree: &Tree) -> RuntimeBuilder<NoopRecorder> {
-    Runtime::builder(programs::dns_resolution(), tree.net.clone()).register_fn(
-        "f_isSubDomain",
-        |args| {
-            let (Some(dm), Some(url)) = (args[0].as_str(), args[1].as_str()) else {
-                return Err(Error::Eval(
-                    "f_isSubDomain expects (domain, url) strings".into(),
-                ));
-            };
-            Ok(Value::Bool(is_sub_domain(dm, url)))
-        },
-    )
-}
-
-/// Create a DNS runtime over the tree's network.
+/// Create a DNS runtime over the tree's network, with `f_isSubDomain`
+/// registered.
 pub fn make_runtime<R: ProvRecorder>(tree: &Tree, recorder: R) -> Runtime<R> {
-    runtime_builder(tree)
-        .recorder(recorder)
-        .build()
-        .expect("the DNS program needs no interest validation")
+    let mut rt = Runtime::new(programs::dns_resolution(), tree.net.clone(), recorder)
+        .expect("the bundled DNS program compiles and passes its audit");
+    rt.fns_mut().register("f_isSubDomain", |args| {
+        let (Some(dm), Some(url)) = (args[0].as_str(), args[1].as_str()) else {
+            return Err(Error::Eval(
+                "f_isSubDomain expects (domain, url) strings".into(),
+            ));
+        };
+        Ok(Value::Bool(is_sub_domain(dm, url)))
+    });
+    rt
 }
 
 /// Deploy the nameserver hierarchy: delegations at every parent, one
@@ -238,7 +229,7 @@ mod tests {
         rt.inject(url_event(t.root, url, 0)).unwrap();
         rt.run().unwrap();
         assert_eq!(rt.outputs().len(), 1);
-        assert_eq!(rt.rules_fired(), 1 + depth as u64 + 1 + 1);
+        assert_eq!(rt.metrics().rules_fired, 1 + depth as u64 + 1 + 1);
     }
 
     #[test]

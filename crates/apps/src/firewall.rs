@@ -34,6 +34,7 @@ pub fn acl(loc: NodeId, src: NodeId) -> Tuple {
 /// Create a firewall-forwarding runtime over `net`.
 pub fn make_runtime<R: ProvRecorder>(net: Network, recorder: R) -> Runtime<R> {
     Runtime::new(program(), net, recorder)
+        .expect("the firewall program compiles and passes its audit")
 }
 
 /// Admit `src` at every node along the hop-shortest `src -> dst` path
@@ -102,7 +103,7 @@ mod tests {
             .unwrap();
         rt.run().unwrap();
         assert!(rt.outputs().is_empty());
-        assert_eq!(rt.rules_fired(), 2); // r1 at n0 and n1 only
+        assert_eq!(rt.metrics().rules_fired, 2); // r1 at n0 and n1 only
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Packet forwarding (Figure 1) deployment helpers.
 
 use dpc_common::{NodeId, Result, Tuple, Value};
-use dpc_engine::{ProvRecorder, Runtime, RuntimeBuilder};
+use dpc_engine::{ProvRecorder, Runtime};
 use dpc_ndlog::programs;
 use dpc_netsim::Network;
 
@@ -39,15 +39,10 @@ pub fn recv(loc: NodeId, src: NodeId, dst: NodeId, payload: impl AsRef<str>) -> 
     )
 }
 
-/// Start a forwarding runtime builder over `net` — chain `.recorder(..)`,
-/// `.config(..)` etc. before `.build()`.
-pub fn runtime_builder(net: Network) -> RuntimeBuilder<dpc_engine::NoopRecorder> {
-    Runtime::builder(programs::packet_forwarding(), net)
-}
-
 /// Create a forwarding runtime over `net` with the given recorder.
 pub fn make_runtime<R: ProvRecorder>(net: Network, recorder: R) -> Runtime<R> {
     Runtime::new(programs::packet_forwarding(), net, recorder)
+        .expect("the bundled forwarding program compiles and passes its audit")
 }
 
 /// Install hop-by-hop routes for every `(src, dst)` pair along the

@@ -12,7 +12,7 @@ use dpc_common::NodeId;
 use dpc_core::{
     extend_input_event_advanced, register_advanced_fns, register_provenance_fns, AdvancedRecorder,
 };
-use dpc_engine::Runtime;
+use dpc_engine::{NoopRecorder, Runtime};
 use dpc_ndlog::rewrite::rewrite_advanced;
 use dpc_ndlog::{equivalence_keys, programs, Delp};
 use dpc_netsim::{topo, Link};
@@ -43,10 +43,10 @@ fn run_self_hosted() -> usize {
     let delp = programs::packet_forwarding();
     let keys = equivalence_keys(&delp);
     let rewritten = Delp::new_relaxed(rewrite_advanced(&delp, &keys)).expect("validates");
-    let mut builder = Runtime::builder(rewritten, topo::line(LINE, Link::STUB_STUB));
-    register_provenance_fns(builder.fns_mut());
-    register_advanced_fns(builder.fns_mut());
-    let mut rt = builder.build().expect("rewritten program builds");
+    let mut rt = Runtime::new(rewritten, topo::line(LINE, Link::STUB_STUB), NoopRecorder)
+        .expect("rewritten program builds");
+    register_provenance_fns(rt.fns_mut());
+    register_advanced_fns(rt.fns_mut());
     let dst = NodeId(LINE as u32 - 1);
     for i in 0..LINE as u32 - 1 {
         rt.install(forwarding::route(NodeId(i), dst, NodeId(i + 1)))

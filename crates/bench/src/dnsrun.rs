@@ -1,16 +1,14 @@
 //! The DNS resolution experiment runner (Figures 13-16).
 
-use dpc_common::NodeId;
 use dpc_common::SeededRng;
 use dpc_engine::ProvRecorder;
 use dpc_ndlog::programs;
 use dpc_netsim::{topo, SimTime};
-use dpc_telemetry::Telemetry;
 use dpc_workload::Zipf;
 
 use dpc_apps::dns;
 
-use crate::{RunMeasurements, Scheme};
+use crate::{run_telemetry, RunMeasurements, Scheme};
 
 /// Configuration of a DNS run.
 #[derive(Debug, Clone)]
@@ -27,9 +25,6 @@ pub struct DnsConfig {
     pub duration: SimTime,
     /// Storage snapshot interval.
     pub snapshot_every: SimTime,
-    /// Zipf exponent for URL popularity (the paper follows Jung et al.'s
-    /// observation of a Zipfian distribution; 1.0 is classic Zipf).
-    pub zipf_exponent: f64,
     /// If set, send exactly this many requests, evenly spaced (Figure
     /// 14/15 style).
     pub total_requests: Option<usize>,
@@ -44,7 +39,6 @@ impl Default for DnsConfig {
             rate: 200.0,
             duration: SimTime::from_secs(10),
             snapshot_every: SimTime::from_secs(1),
-            zipf_exponent: 1.0,
             total_requests: None,
         }
     }
@@ -92,21 +86,16 @@ fn run_generic<R: ProvRecorder>(cfg: &DnsConfig, make: impl FnOnce(usize) -> R) 
     );
     let n = tree.net.node_count();
     let mut rt = dns::make_runtime(&tree, make(n));
-    let telemetry = Telemetry::handle();
-    telemetry.set_snapshot_every_nanos(cfg.snapshot_every.as_nanos());
-    telemetry.set_timeseries(
-        cfg.snapshot_every.as_nanos(),
-        dpc_telemetry::DEFAULT_SERIES_CAPACITY,
-    );
-    rt.attach_telemetry(telemetry);
+    rt.attach_telemetry(run_telemetry(cfg.snapshot_every, 0));
     // A single client (the root node's host role): equivalence classes are
     // then exactly the URLs, matching the paper's Figure 14 discussion.
     let client = tree.root;
     let dep = dns::deploy(&mut rt, &tree, cfg.urls, &[client]).expect("enough servers for URLs");
     rt.clear_stats();
 
-    // Zipfian request stream.
-    let zipf = Zipf::new(dep.urls.len(), cfg.zipf_exponent);
+    // Zipfian request stream: URL popularity follows classic Zipf
+    // (exponent 1.0), after Jung et al.'s observation the paper cites.
+    let zipf = Zipf::new(dep.urls.len(), 1.0);
     let total = cfg
         .total_requests
         .unwrap_or((cfg.rate * cfg.duration.as_secs_f64()).floor() as usize);
@@ -122,29 +111,11 @@ fn run_generic<R: ProvRecorder>(cfg: &DnsConfig, make: impl FnOnce(usize) -> R) 
     // (enabled on the snapshot cadence above) instead of a hand-rolled
     // stepping loop.
     rt.run().expect("drain");
-    let duration = rt.now().max(cfg.duration);
-
-    let per_node_storage: Vec<usize> = (0..n)
-        .map(|i| rt.recorder().storage_at(NodeId(i as u32)))
-        .collect();
-    let telemetry = rt
-        .telemetry()
-        .cloned()
-        .expect("run_generic always attaches telemetry");
+    let m = RunMeasurements::of(&rt, rt.now().max(cfg.duration));
     DnsRunOutput {
-        m: RunMeasurements {
-            per_node_storage,
-            total_traffic: rt.stats().total_bytes(),
-            per_link_bytes: rt.stats().per_link_totals(),
-            outputs: rt.outputs().len(),
-            rules_fired: rt.rules_fired(),
-            index_hits: rt.metrics().index_hits,
-            index_misses: rt.metrics().index_misses,
-            duration,
-            telemetry,
-        },
+        resolved: m.outputs,
+        m,
         injected: total,
-        resolved: rt.outputs().len(),
     }
 }
 

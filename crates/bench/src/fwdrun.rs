@@ -8,12 +8,11 @@ use dpc_core::{
 use dpc_engine::{ProvRecorder, Runtime};
 use dpc_ndlog::{equivalence_keys, programs};
 use dpc_netsim::{topo, SimTime};
-use dpc_telemetry::Telemetry;
 use dpc_workload::random_pairs;
 
 use dpc_apps::forwarding;
 
-use crate::{RunMeasurements, Scheme};
+use crate::{run_telemetry, RunMeasurements, Scheme};
 
 /// Configuration of a forwarding run.
 #[derive(Debug, Clone)]
@@ -26,8 +25,6 @@ pub struct FwdConfig {
     pub rate_per_pair: f64,
     /// Simulated duration of the injection phase.
     pub duration: SimTime,
-    /// Packet payload size (the paper uses 500 characters).
-    pub payload_len: usize,
     /// Storage snapshot interval (the paper samples every 10 s).
     pub snapshot_every: SimTime,
     /// If set, insert a routing-table entry at this interval (the
@@ -52,7 +49,6 @@ impl Default for FwdConfig {
             pairs: 20,
             rate_per_pair: 10.0,
             duration: SimTime::from_secs(10),
-            payload_len: 500,
             snapshot_every: SimTime::from_secs(1),
             route_update_every: None,
             total_packets: None,
@@ -86,15 +82,6 @@ pub struct FwdRunOutput {
     pub injected: usize,
 }
 
-fn payload_of(seq: u64, len: usize) -> String {
-    let mut s = format!("pkt-{seq}-");
-    while s.len() < len {
-        s.push('x');
-    }
-    s.truncate(len.max(8));
-    s
-}
-
 /// Run the forwarding workload under `scheme`. The scheme-to-recorder
 /// mapping is [`Scheme::recorder`]; every scheme (including
 /// [`Scheme::Noop`]) runs through the same generic driver.
@@ -119,16 +106,7 @@ pub(crate) fn prepare<R: ProvRecorder>(
     let ts = topo::transit_stub(&mut rng, &cfg.topo);
     let n = ts.net.node_count();
     let mut rt = forwarding::make_runtime(ts.net, make(n));
-    let telemetry = Telemetry::handle();
-    telemetry.set_snapshot_every_nanos(cfg.snapshot_every.as_nanos());
-    telemetry.set_timeseries(
-        cfg.snapshot_every.as_nanos(),
-        dpc_telemetry::DEFAULT_SERIES_CAPACITY,
-    );
-    if cfg.trace_sample > 0 {
-        telemetry.set_span_sampling(cfg.trace_sample);
-    }
-    rt.attach_telemetry(telemetry);
+    rt.attach_telemetry(run_telemetry(cfg.snapshot_every, cfg.trace_sample));
     let pairs = random_pairs(&mut rng, &ts.stub, cfg.pairs);
     forwarding::install_routes_for_pairs(&mut rt, &pairs).expect("transit-stub is connected");
     rt.clear_stats();
@@ -142,7 +120,7 @@ pub(crate) fn prepare<R: ProvRecorder>(
                 let (s, d) = pairs[i % pairs.len()];
                 let at = SimTime::from_nanos(interval.as_nanos() * i as u64);
                 rt.inject_at(
-                    forwarding::packet(s, s, d, payload_of(i as u64, cfg.payload_len)),
+                    forwarding::packet(s, s, d, forwarding::payload(i as u64)),
                     at,
                 )
                 .expect("valid packet");
@@ -156,11 +134,8 @@ pub(crate) fn prepare<R: ProvRecorder>(
                 for k in 0..per_pair {
                     let at = SimTime::from_nanos(interval.as_nanos() * k as u64);
                     let seq = (pi * per_pair + k) as u64;
-                    rt.inject_at(
-                        forwarding::packet(s, s, d, payload_of(seq, cfg.payload_len)),
-                        at,
-                    )
-                    .expect("valid packet");
+                    rt.inject_at(forwarding::packet(s, s, d, forwarding::payload(seq)), at)
+                        .expect("valid packet");
                     injected += 1;
                 }
             }
@@ -196,28 +171,8 @@ pub(crate) fn prepare<R: ProvRecorder>(
 /// which samples inside the event loop at deterministic virtual
 /// timestamps — no hand-rolled stepping loop.
 fn drive<R: ProvRecorder>(mut rt: Runtime<R>, cfg: &FwdConfig) -> RunMeasurements {
-    let n = rt.net().node_count();
     rt.run().expect("drain");
-    let duration = rt.now().max(cfg.duration);
-
-    let per_node_storage: Vec<usize> = (0..n)
-        .map(|i| rt.recorder().storage_at(NodeId(i as u32)))
-        .collect();
-    let telemetry = rt
-        .telemetry()
-        .cloned()
-        .expect("prepare() always attaches telemetry");
-    RunMeasurements {
-        per_node_storage,
-        total_traffic: rt.stats().total_bytes(),
-        per_link_bytes: rt.stats().per_link_totals(),
-        outputs: rt.outputs().len(),
-        rules_fired: rt.rules_fired(),
-        index_hits: rt.metrics().index_hits,
-        index_misses: rt.metrics().index_misses,
-        duration,
-        telemetry,
-    }
+    RunMeasurements::of(&rt, rt.now().max(cfg.duration))
 }
 
 /// Run the workload under `scheme`, then execute `queries` random

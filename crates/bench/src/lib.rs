@@ -17,6 +17,7 @@ pub mod report;
 pub mod tracerun;
 
 use dpc_common::NodeId;
+use dpc_engine::{ProvRecorder, Runtime};
 use dpc_netsim::SimTime;
 use dpc_telemetry::TelemetryHandle;
 
@@ -216,6 +217,31 @@ pub fn snapshots_from_series(series: &[(u64, f64)]) -> Vec<(u64, usize)> {
 }
 
 impl RunMeasurements {
+    /// The measurements of a drained run whose simulated span is
+    /// `duration`. The runtime must carry the telemetry registry that
+    /// [`run_telemetry`] made.
+    pub(crate) fn of<R: ProvRecorder>(rt: &Runtime<R>, duration: SimTime) -> RunMeasurements {
+        let run = rt.metrics();
+        RunMeasurements {
+            per_node_storage: rt
+                .net()
+                .nodes()
+                .map(|node| rt.recorder().storage_at(node))
+                .collect(),
+            total_traffic: run.total_traffic_bytes,
+            per_link_bytes: rt.stats().per_link_totals(),
+            outputs: run.outputs as usize,
+            rules_fired: run.rules_fired,
+            index_hits: run.index_hits,
+            index_misses: run.index_misses,
+            duration,
+            telemetry: rt
+                .telemetry()
+                .cloned()
+                .expect("every experiment runner attaches telemetry"),
+        }
+    }
+
     /// Total final storage across nodes.
     pub fn total_storage(&self) -> usize {
         self.per_node_storage.iter().sum()
@@ -229,6 +255,19 @@ impl RunMeasurements {
             .map(|&b| dpc_workload::mbps(b, self.duration))
             .collect()
     }
+}
+
+/// The telemetry registry of an experiment run: snapshots and time series
+/// on the `every` cadence, and every `trace_sample`-th execution traced
+/// (0 = span tracing off).
+pub(crate) fn run_telemetry(every: SimTime, trace_sample: u64) -> TelemetryHandle {
+    let telemetry = dpc_telemetry::Telemetry::handle();
+    telemetry.set_snapshot_every_nanos(every.as_nanos());
+    telemetry.set_timeseries(every.as_nanos(), dpc_telemetry::DEFAULT_SERIES_CAPACITY);
+    if trace_sample > 0 {
+        telemetry.set_span_sampling(trace_sample);
+    }
+    telemetry
 }
 
 /// Minimal CLI handling shared by the figure binaries: recognizes

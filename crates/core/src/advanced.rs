@@ -459,7 +459,7 @@ mod tests {
         } else {
             AdvancedRecorder::new(nodes, fwd_keys())
         };
-        let mut rt = Runtime::new(programs::packet_forwarding(), net, rec);
+        let mut rt = Runtime::new(programs::packet_forwarding(), net, rec).unwrap();
         for i in 0..nodes as u32 - 1 {
             rt.install(route(i, nodes as u32 - 1, i + 1)).unwrap();
         }
@@ -654,7 +654,7 @@ mod tests {
     /// `delp` on a 4-node line with routes to n3.
     fn line_to_n3<R: ProvRecorder>(delp: Delp, rec: R) -> Runtime<R> {
         let net = topo::line(4, Link::STUB_STUB);
-        let mut rt = Runtime::new(delp, net, rec);
+        let mut rt = Runtime::new(delp, net, rec).unwrap();
         for i in 0..3u32 {
             rt.install(route(i, 3, i + 1)).unwrap();
         }
@@ -830,11 +830,10 @@ mod tests {
             .collect();
         let telemetry = Telemetry::handle();
         let run = |rec: AdvancedRecorder, telemetry: Option<&TelemetryHandle>| {
-            let mut builder = forwarding::runtime_builder(ts.net.clone()).recorder(rec);
+            let mut rt = forwarding::make_runtime(ts.net.clone(), rec);
             if let Some(t) = telemetry {
-                builder = builder.telemetry(t.clone());
+                rt.attach_telemetry(t.clone());
             }
-            let mut rt = builder.build().unwrap();
             forwarding::install_routes_for_pairs(&mut rt, &pairs).unwrap();
             for p in &packets {
                 rt.inject(p.clone()).unwrap();

@@ -204,7 +204,8 @@ mod tests {
 
     fn run_figure2() -> Runtime<BasicRecorder> {
         let net = topo::line(3, Link::STUB_STUB);
-        let mut rt = Runtime::new(programs::packet_forwarding(), net, BasicRecorder::new(3));
+        let mut rt =
+            Runtime::new(programs::packet_forwarding(), net, BasicRecorder::new(3)).unwrap();
         rt.install(route(0, 2, 1)).unwrap();
         rt.install(route(1, 2, 2)).unwrap();
         rt.inject(packet(0, 0, 2, "data")).unwrap();
@@ -260,8 +261,10 @@ mod tests {
             programs::packet_forwarding(),
             net.clone(),
             BasicRecorder::new(3),
-        );
-        let mut rt_e = Runtime::new(programs::packet_forwarding(), net, ExspanRecorder::new(3));
+        )
+        .unwrap();
+        let mut rt_e =
+            Runtime::new(programs::packet_forwarding(), net, ExspanRecorder::new(3)).unwrap();
         rt_b.install(route(0, 2, 1)).unwrap();
         rt_b.install(route(1, 2, 2)).unwrap();
         rt_b.inject(packet(0, 0, 2, "data")).unwrap();
@@ -285,8 +288,10 @@ mod tests {
             programs::packet_forwarding(),
             net.clone(),
             BasicRecorder::new(5),
-        );
-        let mut rt_e = Runtime::new(programs::packet_forwarding(), net, ExspanRecorder::new(5));
+        )
+        .unwrap();
+        let mut rt_e =
+            Runtime::new(programs::packet_forwarding(), net, ExspanRecorder::new(5)).unwrap();
         for i in 0..4u32 {
             rt_b.install(route(i, 4, i + 1)).unwrap();
             rt_e.install(route(i, 4, i + 1)).unwrap();

@@ -230,7 +230,8 @@ mod tests {
     /// Figure 2 deployment with ExSPAN provenance: reproduces Table 1.
     fn run_figure2() -> Runtime<ExspanRecorder> {
         let net = topo::line(3, Link::STUB_STUB);
-        let mut rt = Runtime::new(programs::packet_forwarding(), net, ExspanRecorder::new(3));
+        let mut rt =
+            Runtime::new(programs::packet_forwarding(), net, ExspanRecorder::new(3)).unwrap();
         rt.install(route(0, 2, 1)).unwrap();
         rt.install(route(1, 2, 2)).unwrap();
         rt.inject(packet(0, 0, 2, "data")).unwrap();
@@ -299,7 +300,8 @@ mod tests {
     #[test]
     fn storage_grows_per_packet() {
         let net = topo::line(3, Link::STUB_STUB);
-        let mut rt = Runtime::new(programs::packet_forwarding(), net, ExspanRecorder::new(3));
+        let mut rt =
+            Runtime::new(programs::packet_forwarding(), net, ExspanRecorder::new(3)).unwrap();
         rt.install(route(0, 2, 1)).unwrap();
         rt.install(route(1, 2, 2)).unwrap();
         rt.inject(packet(0, 0, 2, "p0")).unwrap();

@@ -1012,7 +1012,7 @@ mod tests {
         let delp = dpc_ndlog::Delp::new(dpc_ndlog::parse_program(src).unwrap()).unwrap();
         let keys = dpc_ndlog::equivalence_keys(&delp);
         let rec = TeeRecorder::new(AdvancedRecorder::new(1, keys), GroundTruthRecorder::new());
-        let mut rt = Runtime::new(delp, Network::with_nodes(1), rec);
+        let mut rt = Runtime::new(delp, Network::with_nodes(1), rec).unwrap();
         // Two distinct `t` rows joining the same mid tuple -> two
         // derivations of the same `out` tuple.
         let t1 = Tuple::new("t", vec![Value::Addr(n(0)), Value::Int(1)]);
@@ -1042,7 +1042,8 @@ mod tests {
         "#;
         let delp = dpc_ndlog::Delp::new(dpc_ndlog::parse_program(src).unwrap()).unwrap();
         let keys = dpc_ndlog::equivalence_keys(&delp);
-        let mut rt = Runtime::new(delp, Network::with_nodes(1), AdvancedRecorder::new(1, keys));
+        let mut rt =
+            Runtime::new(delp, Network::with_nodes(1), AdvancedRecorder::new(1, keys)).unwrap();
         rt.install(Tuple::new("s", vec![Value::Addr(n(0)), Value::Int(7)]))
             .unwrap();
         rt.install(Tuple::new("s", vec![Value::Addr(n(0)), Value::Int(8)]))

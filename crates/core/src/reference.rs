@@ -197,7 +197,8 @@ mod tests {
             programs::packet_forwarding(),
             net,
             GroundTruthRecorder::new(),
-        );
+        )
+        .unwrap();
         for i in 0..k as u32 - 1 {
             rt.install(route(i, k as u32 - 1, i + 1)).unwrap();
         }
@@ -254,7 +255,8 @@ mod tests {
             programs::packet_forwarding(),
             net,
             GroundTruthRecorder::new(),
-        );
+        )
+        .unwrap();
         // Route at n0 but a black hole at n1.
         rt.install(route(0, 2, 1)).unwrap();
         rt.inject(packet(0, 0, 2, "lost")).unwrap();

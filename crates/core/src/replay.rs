@@ -91,14 +91,16 @@ impl ReplayLog {
 
     /// Re-execute the logged run on a fresh runtime over `net`, capturing
     /// full provenance trees. `configure` runs before any operation (use
-    /// it to register user-defined functions).
+    /// it to register user-defined functions through
+    /// [`Runtime::fns_mut`]). A program [`Runtime::new`] rejects is an
+    /// `Err`.
     pub fn replay(
         &self,
         delp: Delp,
         net: Network,
         configure: impl FnOnce(&mut Runtime<GroundTruthRecorder>),
     ) -> Result<Runtime<GroundTruthRecorder>> {
-        let mut rt = Runtime::new(delp, net, GroundTruthRecorder::new());
+        let mut rt = Runtime::new(delp, net, GroundTruthRecorder::new())?;
         configure(&mut rt);
         for op in &self.ops {
             match op {

@@ -19,8 +19,8 @@ use crate::advanced::advanced_rid;
 use crate::exspan::exspan_rid;
 
 /// Register `f_vid` and `f_rid` in the function registry of a runtime
-/// that executes a rewritten program (pass
-/// `RuntimeBuilder::fns_mut()` while building).
+/// that executes a rewritten program (pass `Runtime::fns_mut()` before
+/// the first event).
 pub fn register_provenance_fns(fns: &mut FnRegistry) {
     fns.register("f_vid", |args: &[Value]| {
         let Some(rel) = args.first().and_then(Value::as_str) else {
@@ -158,7 +158,7 @@ mod tests {
     use crate::basic::BasicRecorder;
     use dpc_apps::forwarding;
     use dpc_common::{NodeId, Rid};
-    use dpc_engine::{ProvRecorder, Runtime};
+    use dpc_engine::{NoopRecorder, ProvRecorder, Runtime};
     use dpc_ndlog::rewrite::{rewrite_basic, RULE_EXEC_PREFIX};
     use dpc_ndlog::{programs, Delp};
     use dpc_netsim::{topo, Link};
@@ -192,9 +192,13 @@ mod tests {
 
         // Self-hosted run.
         let rewritten = Delp::new_relaxed(rewrite_basic(&programs::packet_forwarding())).unwrap();
-        let mut b = Runtime::builder(rewritten, topo::line(len as usize, Link::STUB_STUB));
-        register_provenance_fns(b.fns_mut());
-        let mut hosted = b.build().unwrap();
+        let mut hosted = Runtime::new(
+            rewritten,
+            topo::line(len as usize, Link::STUB_STUB),
+            NoopRecorder,
+        )
+        .unwrap();
+        register_provenance_fns(hosted.fns_mut());
         routes(&mut hosted, len);
         hosted.inject(extend_input_event(&pkt)).unwrap();
         hosted.run().unwrap();
@@ -293,10 +297,14 @@ mod tests {
         // Self-hosted run.
         let rewritten =
             Delp::new_relaxed(rewrite_advanced(&programs::packet_forwarding(), &keys)).unwrap();
-        let mut b = Runtime::builder(rewritten, topo::line(len as usize, Link::STUB_STUB));
-        register_provenance_fns(b.fns_mut());
-        register_advanced_fns(b.fns_mut());
-        let mut hosted = b.build().unwrap();
+        let mut hosted = Runtime::new(
+            rewritten,
+            topo::line(len as usize, Link::STUB_STUB),
+            NoopRecorder,
+        )
+        .unwrap();
+        register_provenance_fns(hosted.fns_mut());
+        register_advanced_fns(hosted.fns_mut());
         routes(&mut hosted, len);
         hosted.inject(extend_input_event_advanced(&p1)).unwrap();
         hosted.run().unwrap();

@@ -28,6 +28,8 @@
 //!   and the provenance chain reference), and recorder combinators.
 //! * [`runtime`] — the event loop: injection, rule firing, multi-hop
 //!   delivery, slow-table updates with `sig` broadcast (Section 5.5).
+//!   [`Runtime::new`] is the one constructor: it compiles every rule and
+//!   audits every plan, and returns an `Err` for a program it cannot run.
 
 pub mod db;
 pub mod eval;
@@ -39,4 +41,4 @@ pub use db::{Database, Table};
 pub use eval::{Firing, FnRegistry};
 pub use plan::{EvalStats, PlanSet, RulePlan};
 pub use recorder::{NoopRecorder, ProvMeta, ProvRecorder, Stage, TeeRecorder};
-pub use runtime::{OutputRecord, RunMetrics, Runtime, RuntimeBuilder, RuntimeConfig};
+pub use runtime::{OutputRecord, RunMetrics, Runtime, RuntimeConfig};

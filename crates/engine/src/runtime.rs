@@ -7,6 +7,13 @@
 //! until the output relation derives (Section 3.1). Provenance maintenance
 //! hooks fire at each stage through the [`ProvRecorder`].
 //!
+//! [`Runtime::new`] is the only constructor: it compiles every rule to a
+//! plan and audits the plans, returning an `Err` for a program it cannot
+//! run. Configuration, relations of interest, user-defined functions and
+//! telemetry are set on the runtime before the first event
+//! ([`Runtime::set_config`], [`Runtime::set_interest`],
+//! [`Runtime::fns_mut`], [`Runtime::attach_telemetry`]).
+//!
 //! Slow-changing tables can be updated while the system runs
 //! ([`Runtime::update_slow_at`]): per Section 5.5, an insertion broadcasts a
 //! `sig` control message that makes every node clear its equivalence-keys
@@ -15,14 +22,14 @@
 use std::collections::HashMap;
 
 use dpc_common::{Error, EvId, NodeId, Result, StorageSize, Tuple, Vid};
-use dpc_ndlog::{analyze, Delp, Mode as AnalysisMode};
+use dpc_ndlog::Delp;
 use dpc_netsim::{Network, Sim, SimTime, TrafficStats};
 use dpc_telemetry::{AttrValue, Counter, PerNode, SpanContext, TelemetryHandle};
 
 use crate::db::Database;
 use crate::eval::FnRegistry;
 use crate::plan::{EvalStats, PlanSet};
-use crate::recorder::{NoopRecorder, ProvMeta, ProvRecorder, Stage};
+use crate::recorder::{ProvMeta, ProvRecorder, Stage};
 
 /// Messages exchanged by the runtime over the simulated network.
 #[derive(Debug, Clone)]
@@ -74,7 +81,7 @@ pub struct RuntimeConfig {
     /// retained, and queries then cannot resolve leaf contents.
     pub retain_tuples: bool,
     /// Keep an [`OutputRecord`] per derived output. Disable for very
-    /// large measurement runs; [`Runtime::outputs_count`] still counts.
+    /// large measurement runs; [`RunMetrics::outputs`] still counts.
     pub record_outputs: bool,
 }
 
@@ -132,145 +139,6 @@ impl EngineMetrics {
     }
 }
 
-/// A fluent constructor for [`Runtime`]: collects the recorder, config,
-/// relations of interest, user functions and telemetry sink, then
-/// validates everything in one [`RuntimeBuilder::build`] call.
-///
-/// ```ignore
-/// let rt = Runtime::builder(delp, net)
-///     .recorder(ExspanRecorder::new(n))
-///     .config(RuntimeConfig::default())
-///     .interest(["dnsResult"])
-///     .register_fn("f_isSubDomain", is_sub_domain)
-///     .telemetry(Telemetry::handle())
-///     .build()?;
-/// ```
-pub struct RuntimeBuilder<R = NoopRecorder> {
-    delp: Delp,
-    net: Network,
-    recorder: R,
-    config: RuntimeConfig,
-    interest: Vec<String>,
-    fns: FnRegistry,
-    telemetry: Option<TelemetryHandle>,
-}
-
-impl RuntimeBuilder<NoopRecorder> {
-    /// Start a builder with the no-op recorder (swap it with
-    /// [`RuntimeBuilder::recorder`]).
-    pub fn new(delp: Delp, net: Network) -> RuntimeBuilder<NoopRecorder> {
-        RuntimeBuilder {
-            delp,
-            net,
-            recorder: NoopRecorder,
-            config: RuntimeConfig::default(),
-            interest: Vec::new(),
-            fns: FnRegistry::new(),
-            telemetry: None,
-        }
-    }
-}
-
-impl<R: ProvRecorder> RuntimeBuilder<R> {
-    /// Use `recorder` for provenance maintenance.
-    pub fn recorder<R2: ProvRecorder>(self, recorder: R2) -> RuntimeBuilder<R2> {
-        RuntimeBuilder {
-            delp: self.delp,
-            net: self.net,
-            recorder,
-            config: self.config,
-            interest: self.interest,
-            fns: self.fns,
-            telemetry: self.telemetry,
-        }
-    }
-
-    /// Replace the runtime configuration.
-    pub fn config(mut self, config: RuntimeConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Declare *relations of interest* (Section 3.2): derived head
-    /// relations whose tuples get concrete provenance associations even
-    /// when intermediate. Validated against the program at build time.
-    pub fn interest<I, S>(mut self, rels: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.interest.extend(rels.into_iter().map(Into::into));
-        self
-    }
-
-    /// Register a user-defined function.
-    pub fn register_fn(
-        mut self,
-        name: impl Into<String>,
-        f: impl Fn(&[dpc_common::Value]) -> Result<dpc_common::Value> + Send + Sync + 'static,
-    ) -> Self {
-        self.fns.register(name, f);
-        self
-    }
-
-    /// Mutable access to the function registry, for helpers that install
-    /// function packages (e.g. the self-hosted provenance functions).
-    pub fn fns_mut(&mut self) -> &mut FnRegistry {
-        &mut self.fns
-    }
-
-    /// Attach a telemetry sink: wired into the simulator (traffic
-    /// counters, queueing delays), the runtime (rule/join/output counters,
-    /// spans, periodic snapshots on the simulated clock) and the
-    /// recorder (table sizes, `htequi` hit rates).
-    pub fn telemetry(mut self, telemetry: TelemetryHandle) -> Self {
-        self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// Validate and construct the [`Runtime`].
-    ///
-    /// Runs the full static analysis (`dpc_ndlog::analyze`) over the
-    /// program: error-severity diagnostics fail the build with the
-    /// rendered report (defense in depth — [`Delp`] construction already
-    /// rejects them), warnings are accepted and surfaced through the
-    /// [`dpc_telemetry::counters::LINT_WARNINGS`] counter when a telemetry
-    /// sink is attached. Every compiled [`RulePlan`](crate::plan::RulePlan)
-    /// is audited against the static join-key analysis before the runtime
-    /// is returned; a rule that does not compile (see
-    /// [`RulePlan::compile`](crate::plan::RulePlan::compile)) fails the
-    /// build.
-    pub fn build(self) -> Result<Runtime<R>> {
-        let mode = if self.delp.is_strict() {
-            AnalysisMode::Strict
-        } else {
-            AnalysisMode::Relaxed
-        };
-        let analysis = analyze(self.delp.program(), mode);
-        if analysis.has_errors() {
-            let src = self.delp.program().to_string();
-            let mut report = String::new();
-            for d in analysis.errors() {
-                report.push_str(&d.render(&src, "<program>"));
-            }
-            return Err(Error::InvalidDelp(report));
-        }
-        let lint_warnings = analysis.warnings().count() as u64;
-
-        let plans = PlanSet::compile(&self.delp)?;
-        plans.audit()?;
-        let mut rt = Runtime::with_plans(self.delp, plans, self.net, self.recorder);
-        rt.lint_warnings = lint_warnings;
-        rt.config = self.config;
-        rt.fns = self.fns;
-        rt.apply_interest(self.interest)?;
-        if let Some(t) = self.telemetry {
-            rt.attach_telemetry(t);
-        }
-        Ok(rt)
-    }
-}
-
 /// The engine runtime: one DELP deployed on every node of a network.
 pub struct Runtime<R> {
     delp: Delp,
@@ -296,43 +164,26 @@ pub struct Runtime<R> {
     /// provenance associations.
     interest: std::collections::BTreeSet<String>,
     outputs_count: u64,
-    /// Errors from rule evaluation are fatal to the run; kept for context.
     rules_fired: u64,
-    /// Static-analysis warnings accepted at build time (see
-    /// [`RuntimeBuilder::build`]); exported when telemetry attaches.
-    lint_warnings: u64,
     /// Index probe totals over every compiled-plan evaluation.
     eval_stats: EvalStats,
     telemetry: Option<TelemetryHandle>,
     handles: Option<EngineMetrics>,
 }
 
-impl Runtime<NoopRecorder> {
-    /// Start a [`RuntimeBuilder`] for `delp` on `net` (no-op recorder
-    /// until [`RuntimeBuilder::recorder`] replaces it).
-    pub fn builder(delp: Delp, net: Network) -> RuntimeBuilder<NoopRecorder> {
-        RuntimeBuilder::new(delp, net)
-    }
-}
-
 impl<R: ProvRecorder> Runtime<R> {
     /// Deploy `delp` on `net` with the given provenance recorder.
     ///
-    /// # Panics
-    ///
-    /// If a rule does not compile: it has no event atom, or a constraint
-    /// or assignment reads a variable that no earlier atom or assignment
-    /// binds. [`Runtime::builder`] returns these as an `Err` instead.
-    pub fn new(delp: Delp, net: Network, recorder: R) -> Runtime<R> {
-        let plans = PlanSet::compile(&delp).expect(
-            "every rule has an event atom and binds each variable before an expression reads it",
-        );
-        Runtime::with_plans(delp, plans, net, recorder)
-    }
-
-    fn with_plans(delp: Delp, plans: PlanSet, net: Network, recorder: R) -> Runtime<R> {
+    /// Every rule is compiled to a [`RulePlan`](crate::plan::RulePlan)
+    /// and every plan is audited against the static join-key analysis
+    /// ([`PlanSet::audit`]) before the runtime is returned. A rule with no
+    /// event atom, or one whose constraint or assignment reads a variable
+    /// that no earlier atom or assignment binds, is an `Err`.
+    pub fn new(delp: Delp, net: Network, recorder: R) -> Result<Runtime<R>> {
+        let plans = PlanSet::compile(&delp)?;
+        plans.audit()?;
         let n = net.node_count();
-        Runtime {
+        Ok(Runtime {
             delp,
             plans,
             sim: Sim::new(net),
@@ -347,20 +198,25 @@ impl<R: ProvRecorder> Runtime<R> {
             interest: std::collections::BTreeSet::new(),
             outputs_count: 0,
             rules_fired: 0,
-            lint_warnings: 0,
             eval_stats: EvalStats::default(),
             telemetry: None,
             handles: None,
-        }
+        })
     }
 
-    /// Validate and install the relations of interest (Section 3.2):
-    /// head relations whose tuples — even intermediate ones — get
-    /// concrete provenance associations (a stage 3 call per derived
-    /// tuple), so administrators can query them directly instead of
-    /// replaying. Output relations are always of interest and need not be
-    /// listed. Called from [`RuntimeBuilder::build`].
-    fn apply_interest<I, S>(&mut self, rels: I) -> Result<()>
+    /// Replace the runtime configuration. Set it before the first event.
+    pub fn set_config(&mut self, config: RuntimeConfig) {
+        self.config = config;
+    }
+
+    /// Declare the *relations of interest* (Section 3.2): head relations
+    /// whose tuples — even intermediate ones — get concrete provenance
+    /// associations (a stage 3 call per derived tuple), so administrators
+    /// can query them directly instead of replaying. Output relations are
+    /// always of interest and need not be listed. A name that is not a
+    /// head relation of the program is an `Err`. Replaces any earlier
+    /// declaration.
+    pub fn set_interest<I, S>(&mut self, rels: I) -> Result<()>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
@@ -385,20 +241,23 @@ impl<R: ProvRecorder> Runtime<R> {
         Ok(())
     }
 
-    /// Attach a telemetry sink to the simulator, the recorder and the
-    /// runtime itself. Usually set through
-    /// [`RuntimeBuilder::telemetry`].
+    /// Mutable access to the function registry, to register user-defined
+    /// functions (e.g. `f_isSubDomain`, or the self-hosted provenance
+    /// functions) before the first event.
+    pub fn fns_mut(&mut self) -> &mut FnRegistry {
+        &mut self.fns
+    }
+
+    /// Attach a telemetry sink: wired into the simulator (traffic
+    /// counters, queueing delays), the runtime (rule/join/output counters,
+    /// spans, periodic snapshots on the simulated clock) and the recorder
+    /// (table sizes, `htequi` hit rates).
     pub fn attach_telemetry(&mut self, telemetry: TelemetryHandle) {
         self.sim.set_telemetry(telemetry.clone());
         self.recorder.attach_telemetry(telemetry.clone());
         telemetry
             .counter(dpc_telemetry::counters::PLANS_COMPILED)
             .add(self.plans.len() as u64);
-        if self.lint_warnings > 0 {
-            telemetry
-                .counter(dpc_telemetry::counters::LINT_WARNINGS)
-                .add(self.lint_warnings);
-        }
         self.handles = Some(EngineMetrics::register(&telemetry, self.dbs.len()));
         self.telemetry = Some(telemetry);
     }
@@ -481,16 +340,6 @@ impl<R: ProvRecorder> Runtime<R> {
         &self.outputs
     }
 
-    /// Total outputs derived, counted even when `record_outputs` is off.
-    pub fn outputs_count(&self) -> u64 {
-        self.outputs_count
-    }
-
-    /// Total rule firings so far.
-    pub fn rules_fired(&self) -> u64 {
-        self.rules_fired
-    }
-
     /// Resolve an input event by `evid` at the node where it entered.
     pub fn event_by_evid(&self, node: NodeId, evid: &EvId) -> Option<&Tuple> {
         self.events.get(node.index())?.get(evid)
@@ -517,11 +366,6 @@ impl<R: ProvRecorder> Runtime<R> {
     /// nothing.
     pub fn inject_loss(&mut self, src: NodeId, dst: NodeId, every: u64) {
         self.sim.inject_loss(src, dst, every);
-    }
-
-    /// Messages dropped by fault injection so far.
-    pub fn dropped_messages(&self) -> u64 {
-        self.sim.dropped()
     }
 
     /// Install a base tuple during setup, without network traffic or `sig`
@@ -903,7 +747,7 @@ mod tests {
     /// and n1 towards n2 (paper numbering n1,n2,n3 maps to n0,n1,n2).
     fn figure2_runtime() -> Runtime<NoopRecorder> {
         let net = topo::line(3, Link::STUB_STUB);
-        let mut rt = Runtime::new(programs::packet_forwarding(), net, NoopRecorder);
+        let mut rt = Runtime::new(programs::packet_forwarding(), net, NoopRecorder).unwrap();
         rt.install(route(0, 2, 1)).unwrap();
         rt.install(route(1, 2, 2)).unwrap();
         rt
@@ -930,7 +774,7 @@ mod tests {
             )
         );
         // r1 fired at n0 and n1, r2 at n2.
-        assert_eq!(rt.rules_fired(), 3);
+        assert_eq!(rt.metrics().rules_fired, 3);
     }
 
     #[test]
@@ -958,19 +802,18 @@ mod tests {
         .unwrap();
         let delp = Delp::new_relaxed(p).unwrap();
         for retain_tuples in [true, false] {
-            let mut rt = RuntimeBuilder::new(delp.clone(), topo::line(1, Link::STUB_STUB))
-                .config(RuntimeConfig {
-                    retain_tuples,
-                    ..RuntimeConfig::default()
-                })
-                .build()
-                .unwrap();
+            let mut rt =
+                Runtime::new(delp.clone(), topo::line(1, Link::STUB_STUB), NoopRecorder).unwrap();
+            rt.set_config(RuntimeConfig {
+                retain_tuples,
+                ..RuntimeConfig::default()
+            });
             let ev = Tuple::new("e", vec![Value::Addr(n(0)), Value::Int(7)]);
             for _ in 0..2 {
                 rt.inject(ev.clone()).unwrap();
                 rt.run().unwrap();
             }
-            assert_eq!(rt.rules_fired(), 4, "r1 and r2 twice, r3 never");
+            assert_eq!(rt.metrics().rules_fired, 4, "r1 and r2 twice, r3 never");
             assert_eq!(rt.db(n(0)).count("a"), 0);
         }
     }
@@ -978,11 +821,11 @@ mod tests {
     #[test]
     fn packet_without_route_goes_nowhere() {
         let net = topo::line(3, Link::STUB_STUB);
-        let mut rt = Runtime::new(programs::packet_forwarding(), net, NoopRecorder);
+        let mut rt = Runtime::new(programs::packet_forwarding(), net, NoopRecorder).unwrap();
         rt.inject(packet(0, 0, 2, "data")).unwrap();
         rt.run().unwrap();
         assert!(rt.outputs().is_empty());
-        assert_eq!(rt.rules_fired(), 0);
+        assert_eq!(rt.metrics().rules_fired, 0);
     }
 
     #[test]
@@ -1011,10 +854,8 @@ mod tests {
         let t = dpc_telemetry::Telemetry::handle();
         t.set_timeseries(SimTime::from_millis(1).as_nanos(), 256);
         let net = topo::line(3, Link::STUB_STUB);
-        let mut rt = RuntimeBuilder::new(programs::packet_forwarding(), net)
-            .telemetry(t.clone())
-            .build()
-            .unwrap();
+        let mut rt = Runtime::new(programs::packet_forwarding(), net, NoopRecorder).unwrap();
+        rt.attach_telemetry(t.clone());
         rt.install(route(0, 2, 1)).unwrap();
         rt.install(route(1, 2, 2)).unwrap();
         for i in 0..5 {
@@ -1100,7 +941,7 @@ mod tests {
         let n3 = net.add_node();
         net.add_link(n(0), n3, Link::STUB_STUB).unwrap();
         net.add_link(n3, n(2), Link::STUB_STUB).unwrap();
-        let mut rt = Runtime::new(programs::packet_forwarding(), net, NoopRecorder);
+        let mut rt = Runtime::new(programs::packet_forwarding(), net, NoopRecorder).unwrap();
         rt.install(route(0, 2, 1)).unwrap();
         rt.install(route(1, 2, 2)).unwrap();
         rt.install(route(3, 2, 2)).unwrap();
@@ -1159,7 +1000,7 @@ mod tests {
         rt.run().unwrap();
         // Half the packets die on the lossy hop; the rest arrive intact.
         assert_eq!(rt.outputs().len(), 3);
-        assert_eq!(rt.dropped_messages(), 3);
+        assert_eq!(rt.metrics().dropped_messages, 3);
         let payloads: Vec<_> = rt
             .outputs()
             .iter()
@@ -1169,50 +1010,20 @@ mod tests {
     }
 
     #[test]
-    fn builder_exports_lint_warnings_counter() {
-        // Z is never used: W0201 on a strictly valid program.
-        let p = dpc_ndlog::parse_program("r1 out(@X, Y) :- e(@X, Y, Z).").unwrap();
-        let delp = Delp::new(p).unwrap();
-        let t = dpc_telemetry::Telemetry::handle();
-        Runtime::builder(delp, topo::line(2, Link::STUB_STUB))
-            .telemetry(t.clone())
-            .build()
-            .unwrap();
-        assert_eq!(
-            t.counter_total(dpc_telemetry::counters::LINT_WARNINGS),
-            1,
-            "one W0201 warning should be exported"
-        );
-    }
-
-    #[test]
-    fn builder_on_clean_program_exports_no_lint_warnings() {
-        let t = dpc_telemetry::Telemetry::handle();
-        Runtime::builder(
-            programs::packet_forwarding(),
-            topo::line(2, Link::STUB_STUB),
-        )
-        .telemetry(t.clone())
-        .build()
-        .unwrap();
-        assert_eq!(t.counter_total(dpc_telemetry::counters::LINT_WARNINGS), 0);
-    }
-
-    #[test]
-    fn builder_rejects_rules_that_read_unbound_variables() {
+    fn new_rejects_rules_that_read_unbound_variables() {
         // `Q` is never bound (the analyzer's W0202, a warning); `Y` is
         // bound only by the join after the constraint, which the analyzer
-        // does not flag. Both must fail the build, not panic.
+        // does not flag. `Delp` accepts both; the runtime must return an
+        // `Err`, not panic.
         for src in [
             "r1 out(@X, Y) :- e(@X, Z), Y := Q + 1.",
             "r1 out(@X, Y) :- e(@X), Y > 1, s(@X, Y).",
         ] {
             let p = dpc_ndlog::parse_program(src).unwrap();
             let delp = Delp::new_relaxed(p).unwrap();
-            let err = Runtime::builder(delp, topo::line(2, Link::STUB_STUB))
-                .build()
+            let err = Runtime::new(delp, topo::line(2, Link::STUB_STUB), NoopRecorder)
                 .err()
-                .expect("build must fail");
+                .expect("construction must fail");
             assert!(
                 err.to_string()
                     .contains("before any atom or assignment binds it"),
@@ -1222,12 +1033,15 @@ mod tests {
     }
 
     #[test]
-    fn builder_audits_every_plan() {
-        // A successful build implies every plan passed the audit; make
-        // sure the audit also runs standalone over the built plans.
-        let rt = Runtime::builder(programs::dns_resolution(), topo::line(2, Link::STUB_STUB))
-            .build()
-            .unwrap();
+    fn new_audits_every_plan() {
+        // A successful construction implies every plan passed the audit;
+        // make sure the audit also runs standalone over the built plans.
+        let rt = Runtime::new(
+            programs::dns_resolution(),
+            topo::line(2, Link::STUB_STUB),
+            NoopRecorder,
+        )
+        .unwrap();
         assert_eq!(rt.plans.audit().unwrap(), rt.plans.len());
     }
 
@@ -1349,17 +1163,15 @@ mod tests {
     fn dns_resolution_end_to_end() {
         // Host n0, root n1, "com" server n2, "hello.com" server n3.
         let net = topo::line(4, Link::STUB_STUB);
-        let mut rt = Runtime::builder(programs::dns_resolution(), net)
-            .register_fn("f_isSubDomain", |args| {
-                let (Some(dm), Some(url)) = (args[0].as_str(), args[1].as_str()) else {
-                    return Err(Error::Eval("f_isSubDomain expects strings".into()));
-                };
-                Ok(Value::Bool(
-                    url == dm || url.ends_with(&format!(".{dm}")) || url.ends_with(dm),
-                ))
-            })
-            .build()
-            .unwrap();
+        let mut rt = Runtime::new(programs::dns_resolution(), net, NoopRecorder).unwrap();
+        rt.fns_mut().register("f_isSubDomain", |args| {
+            let (Some(dm), Some(url)) = (args[0].as_str(), args[1].as_str()) else {
+                return Err(Error::Eval("f_isSubDomain expects strings".into()));
+            };
+            Ok(Value::Bool(
+                url == dm || url.ends_with(&format!(".{dm}")) || url.ends_with(dm),
+            ))
+        });
         rt.install(Tuple::new(
             "rootServer",
             vec![Value::Addr(n(0)), Value::Addr(n(1))],

@@ -8,8 +8,8 @@
 //! token deletion and duplication, or rule splicing across programs, and
 //! pushes the result through `lex` → `parse_program` → `analyze` →
 //! `Delp::new`/`new_relaxed` → `PlanSet::compile` → `PlanSet::audit`, and
-//! then through `Runtime::builder(..).build()`, which runs the same
-//! compile and audit behind the analyzer's error check.
+//! then through `Runtime::new`, which runs the same compile and audit and
+//! must return `Ok` exactly when `PlanSet::compile` does.
 //!
 //! Generation is driven by the in-tree seeded PRNG, so every failure
 //! reproduces from its case number.
@@ -17,7 +17,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dpc_common::{Rng, SeededRng};
-use dpc_engine::{PlanSet, Runtime};
+use dpc_engine::{NoopRecorder, PlanSet, Runtime};
 use dpc_ndlog::lexer::lex;
 use dpc_ndlog::{analyze, parse_program, programs, Delp, Mode};
 use dpc_netsim::{topo, Link};
@@ -196,11 +196,11 @@ fn pipeline(src: &str) -> Result<Reached, String> {
                 .map_err(|e| format!("compiled plans fail their audit: {e}"))?;
             reached.compiled += 1;
         }
-        // The builder compiles and audits on its own; it must agree.
-        let built = Runtime::builder(delp, topo::line(2, Link::STUB_STUB)).build();
+        // The runtime compiles and audits on its own; it must agree.
+        let built = Runtime::new(delp, topo::line(2, Link::STUB_STUB), NoopRecorder);
         if compiled.is_ok() != built.is_ok() {
             return Err(format!(
-                "PlanSet::compile returned {} but the builder returned {}",
+                "PlanSet::compile returned {} but Runtime::new returned {}",
                 if compiled.is_ok() { "Ok" } else { "Err" },
                 if built.is_ok() { "Ok" } else { "Err" },
             ));

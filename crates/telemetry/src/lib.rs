@@ -60,10 +60,6 @@ pub mod counters {
     /// Rule plans compiled at runtime construction; emitted once when
     /// telemetry attaches.
     pub const PLANS_COMPILED: &str = "engine.plans_compiled";
-    /// Static-analysis warnings accepted at runtime construction (the
-    /// program built, but `dpc_ndlog::analyze` flagged W-codes); emitted
-    /// once when telemetry attaches.
-    pub const LINT_WARNINGS: &str = "engine.lint_warnings";
 }
 
 pub use chrome::chrome_trace;

@@ -24,14 +24,18 @@ fn main() {
 
     let net = topo::line(5, Link::STUB_STUB);
     let store = SharedNodeStore::new(5);
-    let mut rt_fwd = Runtime::builder(delp_fwd, net.clone())
-        .recorder(AdvancedRecorder::sharing(keys_fwd, store.clone()))
-        .build()
-        .expect("forwarding program builds");
-    let mut rt_mir = Runtime::builder(delp_mir, net)
-        .recorder(AdvancedRecorder::sharing(keys_mir, store.clone()))
-        .build()
-        .expect("mirror program builds");
+    let mut rt_fwd = Runtime::new(
+        delp_fwd,
+        net.clone(),
+        AdvancedRecorder::sharing(keys_fwd, store.clone()),
+    )
+    .expect("forwarding program builds");
+    let mut rt_mir = Runtime::new(
+        delp_mir,
+        net,
+        AdvancedRecorder::sharing(keys_mir, store.clone()),
+    )
+    .expect("mirror program builds");
     for rt in [&mut rt_fwd, &mut rt_mir] {
         for i in 0..4u32 {
             rt.install(forwarding::route(NodeId(i), NodeId(4), NodeId(i + 1)))

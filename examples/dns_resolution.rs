@@ -24,10 +24,7 @@ fn run<R: ProvRecorder>(recorder: R, seed: u64) -> (Runtime<R>, dns::DnsDeployme
             ..topo::TreeParams::default()
         },
     );
-    let mut rt = dns::runtime_builder(&tree)
-        .recorder(recorder)
-        .build()
-        .expect("the DNS program builds");
+    let mut rt = dns::make_runtime(&tree, recorder);
     let client = tree.root;
     let dep = dns::deploy(&mut rt, &tree, URLS, &[client]).expect("deployable");
     rt.clear_stats();

@@ -11,10 +11,7 @@ use dpc::prelude::*;
 fn main() {
     let net = topo::line(4, Link::STUB_STUB);
     let keys = equivalence_keys(&programs::packet_forwarding());
-    let mut rt = forwarding::runtime_builder(net)
-        .recorder(AdvancedRecorder::new(4, keys))
-        .build()
-        .expect("the forwarding program builds");
+    let mut rt = forwarding::make_runtime(net, AdvancedRecorder::new(4, keys));
     forwarding::install_routes_for_pairs(&mut rt, &[(NodeId(0), NodeId(3))])
         .expect("line is connected");
 
@@ -35,7 +32,7 @@ fn main() {
     println!(
         "sent 9 packets, {} delivered, {} dropped on the lossy n1->n2 hop\n",
         rt.outputs().len(),
-        rt.dropped_messages()
+        rt.metrics().dropped_messages
     );
 
     let ctx = QueryCtx::from_runtime(&rt);

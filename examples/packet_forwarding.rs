@@ -21,10 +21,7 @@ fn build_pairs(seed: u64) -> (dpc::netsim::Network, Vec<(NodeId, NodeId)>) {
 
 fn run<R: ProvRecorder>(recorder: R, seed: u64) -> (Runtime<R>, Vec<(NodeId, NodeId)>) {
     let (net, pairs) = build_pairs(seed);
-    let mut rt = forwarding::runtime_builder(net)
-        .recorder(recorder)
-        .build()
-        .expect("the forwarding program builds");
+    let mut rt = forwarding::make_runtime(net, recorder);
     forwarding::install_routes_for_pairs(&mut rt, &pairs).expect("connected topology");
     rt.clear_stats();
     let mut seq = 0u64;

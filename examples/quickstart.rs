@@ -22,10 +22,7 @@ fn main() {
     );
 
     let net = dpc::netsim::topo::line(3, Link::STUB_STUB);
-    let mut rt = forwarding::runtime_builder(net)
-        .recorder(AdvancedRecorder::new(3, keys))
-        .build()
-        .expect("the forwarding program builds");
+    let mut rt = forwarding::make_runtime(net, AdvancedRecorder::new(3, keys));
     rt.install(forwarding::route(NodeId(0), NodeId(2), NodeId(1)))
         .expect("install route at n0");
     rt.install(forwarding::route(NodeId(1), NodeId(2), NodeId(2)))

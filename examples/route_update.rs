@@ -22,10 +22,7 @@ fn main() {
     };
 
     let keys = equivalence_keys(&programs::packet_forwarding());
-    let mut rt = forwarding::runtime_builder(net)
-        .recorder(AdvancedRecorder::new(4, keys))
-        .build()
-        .expect("the forwarding program builds");
+    let mut rt = forwarding::make_runtime(net, AdvancedRecorder::new(4, keys));
     rt.install(forwarding::route(NodeId(0), NodeId(2), NodeId(1)))
         .expect("install");
     rt.install(forwarding::route(NodeId(1), NodeId(2), NodeId(2)))

@@ -19,10 +19,10 @@ fn main() {
     println!("{rewritten_src}");
 
     let rewritten = Delp::new_relaxed(rewritten_src).expect("rewrite output validates");
-    let mut builder = Runtime::builder(rewritten, topo::line(3, Link::STUB_STUB));
-    register_provenance_fns(builder.fns_mut());
-    register_advanced_fns(builder.fns_mut());
-    let mut rt = builder.build().expect("rewritten program builds");
+    let mut rt = Runtime::new(rewritten, topo::line(3, Link::STUB_STUB), NoopRecorder)
+        .expect("rewritten program builds");
+    register_provenance_fns(rt.fns_mut());
+    register_advanced_fns(rt.fns_mut());
     rt.install(forwarding::route(NodeId(0), NodeId(2), NodeId(1)))
         .expect("install");
     rt.install(forwarding::route(NodeId(1), NodeId(2), NodeId(2)))

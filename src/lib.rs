@@ -63,7 +63,7 @@ pub mod prelude {
         query_advanced, query_basic, query_exspan, AdvancedRecorder, BasicRecorder, ExspanRecorder,
         GroundTruthRecorder, ProvTree, QueryCtx, Scheme,
     };
-    pub use dpc_engine::{NoopRecorder, ProvRecorder, Runtime, RuntimeBuilder, TeeRecorder};
+    pub use dpc_engine::{NoopRecorder, ProvRecorder, Runtime, TeeRecorder};
     pub use dpc_ndlog::{equivalence_keys, parse_program, programs, Delp};
     pub use dpc_netsim::{Link, Network, SimTime};
     pub use dpc_telemetry::{Telemetry, TelemetryHandle};

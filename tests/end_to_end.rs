@@ -232,11 +232,8 @@ fn relations_of_interest_make_intermediates_queryable() {
     );
     let keys = equivalence_keys(&programs::dns_resolution());
     let rec = TeeRecorder::new(AdvancedRecorder::new(30, keys), GroundTruthRecorder::new());
-    let mut rt = dns::runtime_builder(&tree)
-        .recorder(rec)
-        .interest(["dnsResult"])
-        .build()
-        .unwrap();
+    let mut rt = dns::make_runtime(&tree, rec);
+    rt.set_interest(["dnsResult"]).unwrap();
     let dep = dns::deploy(&mut rt, &tree, 6, &[tree.root]).unwrap();
 
     // Two resolutions per URL: the second is compressed.
@@ -281,9 +278,7 @@ fn relations_of_interest_make_intermediates_queryable() {
 fn interest_rejects_unknown_relations() {
     use dpc::apps::forwarding;
     let builds = |rels: [&str; 1]| {
-        forwarding::runtime_builder(topo::star(3, Link::STUB_STUB))
-            .interest(rels)
-            .build()
+        forwarding::make_runtime(topo::star(3, Link::STUB_STUB), NoopRecorder).set_interest(rels)
     };
     assert!(builds(["recv"]).is_ok());
     assert!(builds(["packet"]).is_ok());

@@ -23,15 +23,12 @@ fn advanced_at_paper_scale_stays_compressed() {
     let keys = equivalence_keys(&programs::packet_forwarding());
     // Lean mode: count outputs and measure storage without materializing
     // a million 500-byte tuples across the network.
-    let mut rt = forwarding::runtime_builder(ts.net)
-        .recorder(AdvancedRecorder::new(100, keys))
-        .config(dpc::engine::RuntimeConfig {
-            retain_tuples: false,
-            record_outputs: false,
-            ..Default::default()
-        })
-        .build()
-        .unwrap();
+    let mut rt = forwarding::make_runtime(ts.net, AdvancedRecorder::new(100, keys));
+    rt.set_config(dpc::engine::RuntimeConfig {
+        retain_tuples: false,
+        record_outputs: false,
+        ..Default::default()
+    });
     forwarding::install_routes_for_pairs(&mut rt, &pairs).unwrap();
 
     // Inject in one-second waves to bound the pending queue.
@@ -51,7 +48,7 @@ fn advanced_at_paper_scale_stays_compressed() {
         rt.run_until(SimTime::from_secs(sec + 1)).unwrap();
     }
     rt.run().unwrap();
-    assert_eq!(rt.outputs_count(), 1_000_000);
+    assert_eq!(rt.metrics().outputs, 1_000_000);
     assert_eq!(rt.recorder().hmap_misses(), 0);
 
     // The ruleExec tables hold one shared tree per pair regardless of the
@@ -70,15 +67,12 @@ fn dns_advanced_at_paper_scale() {
     let mut rng = SeededRng::seed_from_u64(42);
     let tree = topo::tree(&mut rng, &topo::TreeParams::default());
     let keys = equivalence_keys(&programs::dns_resolution());
-    let mut rt = dns::runtime_builder(&tree)
-        .recorder(AdvancedRecorder::new(100, keys))
-        .config(dpc::engine::RuntimeConfig {
-            retain_tuples: false,
-            record_outputs: false,
-            ..Default::default()
-        })
-        .build()
-        .unwrap();
+    let mut rt = dns::make_runtime(&tree, AdvancedRecorder::new(100, keys));
+    rt.set_config(dpc::engine::RuntimeConfig {
+        retain_tuples: false,
+        record_outputs: false,
+        ..Default::default()
+    });
     let dep = dns::deploy(&mut rt, &tree, 38, &[tree.root]).unwrap();
     let zipf = Zipf::new(38, 1.0);
     for wave in 0..100u64 {
@@ -93,7 +87,7 @@ fn dns_advanced_at_paper_scale() {
         rt.run_until(SimTime::from_secs(wave + 1)).unwrap();
     }
     rt.run().unwrap();
-    assert_eq!(rt.outputs_count(), 100_000);
+    assert_eq!(rt.metrics().outputs, 100_000);
     assert_eq!(rt.recorder().hmap_misses(), 0);
     // 38 equivalence classes bound the ruleExec tables.
     let rule_rows: usize = rt

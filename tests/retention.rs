@@ -58,7 +58,7 @@ impl Workload for LossyLine {
             rt.inject(t.clone()).unwrap();
         }
         rt.run().unwrap();
-        assert_eq!(rt.dropped_messages(), 3, "loss was injected");
+        assert_eq!(rt.metrics().dropped_messages, 3, "loss was injected");
         assert_eq!(rt.outputs().len(), 6);
         (rt, inputs)
     }
@@ -285,14 +285,11 @@ fn dns_retains_what_each_scheme_queries() {
 #[test]
 fn retain_tuples_off_retains_nothing() {
     let net = topo::line(4, Link::STUB_STUB);
-    let mut rt = forwarding::runtime_builder(net)
-        .recorder(ExspanRecorder::new(4))
-        .config(dpc::engine::RuntimeConfig {
-            retain_tuples: false,
-            ..Default::default()
-        })
-        .build()
-        .unwrap();
+    let mut rt = forwarding::make_runtime(net, ExspanRecorder::new(4));
+    rt.set_config(dpc::engine::RuntimeConfig {
+        retain_tuples: false,
+        ..Default::default()
+    });
     let (src, dst) = (NodeId(0), NodeId(3));
     forwarding::install_routes_for_pairs(&mut rt, &[(src, dst)]).unwrap();
     let pkt = forwarding::packet(src, src, dst, "data");
@@ -328,7 +325,7 @@ fn advanced_survives_loss_of_a_class_first_member() {
             .unwrap();
     }
     rt.run().unwrap();
-    assert!(rt.dropped_messages() > 0, "loss was injected");
+    assert!(rt.metrics().dropped_messages > 0, "loss was injected");
     assert!(!rt.outputs().is_empty(), "some packets were delivered");
     assert_eq!(rt.recorder().primary.hmap_misses(), 0);
     let ctx = QueryCtx::from_runtime(&rt);

@@ -151,7 +151,10 @@ fn lossy_forwarding_registry_matches_runtime() {
             }
         }
         rt.run().unwrap();
-        assert!(rt.dropped_messages() > 0, "{scheme:?}: loss injected");
+        assert!(
+            rt.metrics().dropped_messages > 0,
+            "{scheme:?}: loss injected"
+        );
         assert_registry_matches_runtime(&rt, &t, scheme);
     }
 }

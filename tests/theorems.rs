@@ -273,7 +273,7 @@ fn updates_preserve_history_and_capture_new_paths() {
         net.add_link(n3, n(2), Link::STUB_STUB).unwrap();
         net
     };
-    let mut rt = Runtime::new(programs::packet_forwarding(), net, rec);
+    let mut rt = Runtime::new(programs::packet_forwarding(), net, rec).unwrap();
     rt.install(forwarding::route(n(0), n(2), n(1))).unwrap();
     rt.install(forwarding::route(n(1), n(2), n(2))).unwrap();
     rt.install(forwarding::route(n(3), n(2), n(2))).unwrap();
